@@ -1,30 +1,27 @@
 /// \file city_scale.cpp
-/// City-scale batch bench: shared-sky batching vs per-roof weather
-/// regeneration on the synthetic city fixture (ROADMAP "shared-weather
+/// City-scale batch bench: shared-sky batching and the shared horizon
+/// cache on the synthetic city fixture (ROADMAP "shared-weather
 /// batching" / "city-scale batch ingestion").
 ///
 /// Generates a 60-roof city (tiles + index) into a scratch directory,
-/// then ranks it twice with gis::run_city under a production city
+/// then ranks it with gis::run_city under a production city
 /// configuration — 5-minute sky resolution (cloud transients resolved),
 /// sampled suitability/evaluation strides, 48 horizon sectors:
-///   1. share_sky = false  — every roof regenerates the env series and
-///      the per-step sun/transposition precompute (the pre-PR-5
-///      run_scenarios behaviour);
-///   2. share_sky = true   — one SharedSkyArtifact serves the batch;
-///   3. shared-horizon cold — a caller-owned gis::HorizonCache is
+///   1. shared sky — one SharedSkyArtifact per site serves the batch,
+///      per-roof horizon marching;
+///   2. shared-horizon cold — a caller-owned gis::HorizonCache is
 ///      injected and the run pays the macro-tile marching that
 ///      populates it (roof windows are disjoint, so this pass does
 ///      *more* marching than the per-roof path — the cache's cost);
-///   4. shared-horizon warm — the same cache serves a second full run
+///   3. shared-horizon warm — the same cache serves a second full run
 ///      from resident planes: the steady-state re-rank / delta-rerun /
 ///      serve-daemon workload the cache exists for.
-/// Runs 1 and 2 are verified byte-identical, as are runs 3 and 4
-/// (cached planes vs freshly-marched planes).  The wall-clock ratios
-/// are the shared-sky batch speedup and the shared-horizon *warm*
-/// speedup (run 2 / run 4), and roofs/sec the city throughput.  Runs
-/// 3/4 rank to a different deterministic stream than 1/2 (uniform
-/// march distance over real halo terrain).  `--json BENCH_city.json`
-/// records every run for the BENCH_* trajectory
+/// Runs 2 and 3 are verified byte-identical (cached planes vs
+/// freshly-marched planes).  The wall-clock ratio run 1 / run 3 is the
+/// shared-horizon *warm* speedup, and roofs/sec the city throughput.
+/// Runs 2/3 rank to a different deterministic stream than run 1
+/// (uniform march distance over real halo terrain).  `--json
+/// BENCH_city.json` records every run for the BENCH_* trajectory
 /// (scripts/collect_bench_city.sh).
 ///
 ///   bench_city_scale [--roofs N] [--minutes M] [--stride K]
@@ -105,9 +102,8 @@ int main(int argc, char** argv) {
     options.topologies = {{8, 2}};
 
     const auto timed_run = [&](const char* label, const char* record,
-                               const char* jsonl, bool share_sky,
+                               const char* jsonl,
                                gis::HorizonCache* horizon_cache) {
-        options.share_sky = share_sky;
         options.shared_horizon_cache = horizon_cache;
         options.jsonl_path = dir + "/" + jsonl;
         const auto start = Clock::now();
@@ -123,15 +119,11 @@ int main(int argc, char** argv) {
         return ms;
     };
 
-    // Per-roof regeneration first (the baseline), shared sky second,
-    // then the horizon cache's cold (populating) and warm (resident)
-    // passes through one injected cache.
-    const double per_roof_ms = timed_run(
-        "per-roof sky        ", "city/per_roof_sky", "per_roof.jsonl",
-        false, nullptr);
+    // Shared sky with per-roof horizons first, then the horizon cache's
+    // cold (populating) and warm (resident) passes through one injected
+    // cache.
     const double shared_ms = timed_run(
-        "shared sky          ", "city/shared_sky", "shared.jsonl",
-        true, nullptr);
+        "shared sky          ", "city/shared_sky", "shared.jsonl", nullptr);
 
     gis::TileCache horizon_tiles(16);
     gis::HorizonCacheOptions cache_options;
@@ -139,26 +131,19 @@ int main(int argc, char** argv) {
     gis::HorizonCache horizon_cache(tiles, &horizon_tiles, cache_options);
     const double cold_ms = timed_run(
         "shared horizon cold ", "city/shared_horizon_cold",
-        "shared_horizon_cold.jsonl", true, &horizon_cache);
+        "shared_horizon_cold.jsonl", &horizon_cache);
     const double warm_ms = timed_run(
         "shared horizon warm ", "city/shared_horizon",
-        "shared_horizon.jsonl", true, &horizon_cache);
+        "shared_horizon.jsonl", &horizon_cache);
 
-    const bool sky_identical = read_file(dir + "/per_roof.jsonl") ==
-                               read_file(dir + "/shared.jsonl");
     const bool horizon_identical =
         read_file(dir + "/shared_horizon_cold.jsonl") ==
         read_file(dir + "/shared_horizon.jsonl");
-    std::cout << "sky outputs byte-identical:          "
-              << (sky_identical ? "yes" : "NO") << "\n";
     std::cout << "cold/warm horizon byte-identical:    "
               << (horizon_identical ? "yes" : "NO") << "\n";
-    std::cout << "shared-sky batch speedup:            "
-              << per_roof_ms / shared_ms << "x\n";
     std::cout << "shared-horizon cold overhead:        "
               << cold_ms / shared_ms << "x wall\n";
     std::cout << "shared-horizon warm speedup:         "
               << shared_ms / warm_ms << "x\n";
-    if (!sky_identical || !horizon_identical) return 1;
-    return 0;
+    return horizon_identical ? 0 : 1;
 }

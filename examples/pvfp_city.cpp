@@ -14,7 +14,6 @@
 ///     --tile-cache <N>           resident decoded tiles (default: 16)
 ///     --margin <m>               shading context margin (default: 8)
 ///     --resume                   continue an interrupted run
-///     --no-shared-sky            regenerate weather per roof (baseline)
 ///     --shared-horizon           share horizon marching across roofs
 ///                                (macro-tile plane cache; uniform march
 ///                                distance instead of the per-roof cap)
@@ -59,8 +58,8 @@ namespace {
               << "                 [--summary rank.csv] [--topologies 8x2,8x4]\n"
               << "                 [--minutes step] [--stride k] [--seed u64]\n"
               << "                 [--shard N] [--tile-cache N] [--margin m]\n"
-              << "                 [--resume] [--no-shared-sky]\n"
-              << "                 [--shared-horizon] [--horizon-cache-mb N]\n"
+              << "                 [--resume] [--shared-horizon]\n"
+              << "                 [--horizon-cache-mb N]\n"
               << "                 [--feeder-index FILE --grid-plan OUT.jsonl\n"
               << "                  [--grid-summary grid.csv]]\n"
               << "                 [--metrics-out M.json] [--trace-out T.json]\n"
@@ -103,7 +102,6 @@ int main(int argc, char** argv) {
     double margin = 8.0;
     int fixture_roofs = 60;
     bool resume = false;
-    bool shared_sky = true;
     bool shared_horizon = false;
     int horizon_cache_mb = 256;
     std::string metrics_out, trace_out;
@@ -137,7 +135,6 @@ int main(int argc, char** argv) {
         else if (arg == "--grid-plan") grid_plan_path = next();
         else if (arg == "--grid-summary") grid_summary_path = next();
         else if (arg == "--resume") resume = true;
-        else if (arg == "--no-shared-sky") shared_sky = false;
         else if (arg == "--shared-horizon") shared_horizon = true;
         else if (arg == "--horizon-cache-mb")
             horizon_cache_mb = cli::parse_int(arg, next(), 1);
@@ -204,7 +201,6 @@ int main(int argc, char** argv) {
         options.shard_size = shard;
         options.tile_cache_tiles = static_cast<std::size_t>(tile_cache);
         options.resume = resume;
-        options.share_sky = shared_sky;
         options.share_horizon = shared_horizon;
         options.horizon_cache_mb =
             static_cast<std::size_t>(horizon_cache_mb);

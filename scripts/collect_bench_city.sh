@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Bench-trajectory collector for the city-scale batch runner: runs
 # bench_city_scale in JSON mode and appends one record per timed run
-# (tagged with the current commit) plus a derived speedup/throughput
-# record to BENCH_city.json at the repo root, mirroring
+# (tagged with the current commit) plus the derived shared-horizon
+# speedup record to BENCH_city.json at the repo root, mirroring
 # collect_bench_kernels.sh (ROADMAP trajectory item).
 #
 # Usage: scripts/collect_bench_city.sh [build-dir]   (default: build)
@@ -55,18 +55,6 @@ for b in raw:
     records.append(rec)
 
 shared = by_name.get("city/shared_sky")
-per_roof = by_name.get("city/per_roof_sky")
-if shared and per_roof and shared["wall_ms"] > 0:
-    speedup = per_roof["wall_ms"] / shared["wall_ms"]
-    records.append({
-        "commit": commit,
-        "name": "city/shared_sky_speedup",
-        "speedup": speedup,
-        "threads": shared["threads"],
-    })
-    print(f"shared-sky batch speedup: {speedup:.2f}x "
-          f"({shared['roofs_per_sec']:.1f} roofs/sec shared, "
-          f"{per_roof['roofs_per_sec']:.1f} per-roof)")
 
 # "city/shared_horizon" is the *warm* pass (resident gis::HorizonCache
 # planes, the steady-state re-rank workload); the populating pass is

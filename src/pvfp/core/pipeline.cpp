@@ -68,13 +68,22 @@ PreparedScenario prepare_scenario(const RoofScenario& scenario,
     // data) and per-step precompute for this scenario alone.
     std::shared_ptr<const solar::SharedSkyArtifact> sky = config.shared_sky;
     if (sky) {
-        // The field reads its time grid from the artifact; a mismatched
-        // config.grid would silently simulate a different horizon.
+        // The field reads its time grid and sun geometry from the
+        // artifact; a mismatched config.grid or config.location would
+        // silently simulate a different horizon or site.
         check_arg(sky->grid.minutes_per_step() ==
                           config.grid.minutes_per_step() &&
                       sky->grid.start_day() == config.grid.start_day() &&
                       sky->grid.days() == config.grid.days(),
                   "prepare_scenario: shared_sky grid != config.grid");
+        check_arg(sky->location.latitude_deg ==
+                          config.location.latitude_deg &&
+                      sky->location.longitude_deg ==
+                          config.location.longitude_deg &&
+                      sky->location.timezone_hours ==
+                          config.location.timezone_hours,
+                  "prepare_scenario: shared_sky location != "
+                  "config.location");
     }
     if (!sky) {
         PVFP_TRACE_SPAN("stage.sky");

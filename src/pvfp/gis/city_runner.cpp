@@ -1,7 +1,6 @@
 #include "pvfp/gis/city_runner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -98,22 +97,10 @@ CityRunSummary run_city(const TileIndex& tiles, const RoofRegistry& registry,
     check_arg(!options.topologies.empty(), "run_city: no topologies");
     check_arg(options.shard_size >= 1, "run_city: shard_size must be >= 1");
 
-    core::ScenarioConfig base = options.config;
-    base.cell_size = tiles.cell_size();
-    base.shared_sky = nullptr;
-
+    const core::ScenarioConfig& base = options.config;
     const long total = registry.size();
     CityRunSummary summary;
     summary.total = total;
-
-    const auto location_of = [&](const RoofRecord& rec) {
-        solar::Location loc = base.location;
-        if (rec.has_location) {
-            loc.latitude_deg = rec.latitude_deg;
-            loc.longitude_deg = rec.longitude_deg;
-        }
-        return loc;
-    };
 
     // ---- Resume: keep the longest valid prefix of the stream. -----------
     // Shards append whole, in registry order, so a valid stream is always
@@ -164,7 +151,8 @@ CityRunSummary run_city(const TileIndex& tiles, const RoofRegistry& registry,
     const auto prepare_shard_artifacts = [&](long begin, long end) {
         std::set<std::pair<double, double>> needed;
         for (long i = begin; i < end; ++i) {
-            const solar::Location loc = location_of(registry.record(i));
+            const solar::Location loc =
+                roof_location(registry.record(i), base.location);
             needed.insert({loc.latitude_deg, loc.longitude_deg});
         }
         for (auto it = artifacts.begin(); it != artifacts.end();)
@@ -181,6 +169,9 @@ CityRunSummary run_city(const TileIndex& tiles, const RoofRegistry& registry,
                              loc, base.grid, base.weather),
                          base.field.sky_model));
         }
+    };
+    const SkyLookup shard_sky = [&](const solar::Location& loc) {
+        return artifacts.at({loc.latitude_deg, loc.longitude_deg});
     };
 
     TileCache cache(options.tile_cache_tiles);
@@ -220,8 +211,7 @@ CityRunSummary run_city(const TileIndex& tiles, const RoofRegistry& registry,
             std::min(total, shard_begin + static_cast<long>(options.shard_size));
         const long n = shard_end - shard_begin;
         std::vector<RoofResult> shard(static_cast<std::size_t>(n));
-        if (options.share_sky)
-            prepare_shard_artifacts(shard_begin, shard_end);
+        prepare_shard_artifacts(shard_begin, shard_end);
 
         const auto process = [&](long k) {
             PVFP_TRACE_SPAN("city.roof");
@@ -230,49 +220,9 @@ CityRunSummary run_city(const TileIndex& tiles, const RoofRegistry& registry,
             r.id = rec.id;
             try {
                 RoofPlaneFit fit;
-                WindowOrigin origin;
-                const core::RoofScenario scenario = make_scenario(
-                    rec, tiles, options.build, &cache, &fit, &origin);
-                core::ScenarioConfig config = base;
-                config.location = location_of(rec);
-                if (horizon_cache) {
-                    // Shared planes answer the full run-uniform
-                    // max_distance over real halo terrain, so the
-                    // window cap below does not apply.  The closure
-                    // maps the scene-local window back onto the tile
-                    // lattice via the pre-rebase world origin.
-                    HorizonCache* hc = horizon_cache;
-                    const double wx = origin.x;
-                    const double wy = origin.y;
-                    const double cs = tiles.cell_size();
-                    config.horizon_provider =
-                        [hc, wx, wy, cs](const geo::Raster&, int x0, int y0,
-                                         int w, int h,
-                                         const geo::HorizonOptions&)
-                        -> std::optional<geo::HorizonMap> {
-                        return hc->window(wx + x0 * cs, wy - y0 * cs, x0,
-                                          y0, w, h);
-                    };
-                } else {
-                    // The mosaic holds real heights only out to the
-                    // context margin; marching the horizon rays further
-                    // would sample the raster's clamped edge values as
-                    // if they were terrain.  Bound the march by what
-                    // the window can actually answer (never extend a
-                    // tighter user bound).
-                    config.horizon.max_distance = std::min(
-                        config.horizon.max_distance,
-                        options.build.context_margin_m +
-                            std::hypot(rec.bbox.width(),
-                                       rec.bbox.height()));
-                }
-                if (options.share_sky) {
-                    config.shared_sky =
-                        artifacts.at({config.location.latitude_deg,
-                                      config.location.longitude_deg});
-                }
                 const core::PreparedScenario prepared =
-                    core::prepare_scenario(scenario, config);
+                    prepare_roof(rec, tiles, base, options.build, &cache,
+                                 horizon_cache, shard_sky, &fit);
                 r.valid_cells = prepared.area.valid_count;
                 r.area_w = prepared.area.width;
                 r.area_h = prepared.area.height;

@@ -17,14 +17,14 @@
 /// continues after it, producing the same final bytes as an
 /// uninterrupted run.
 ///
-/// The sky precompute (env series + sun positions + transposition trig)
-/// is prepared once per distinct site (lazily, shard by shard, dropping
-/// artifacts the next shard no longer needs) and shared immutably by
-/// every roof — the ROADMAP "shared-weather batching" item; per-roof
-/// regeneration stays available (share_sky=false) as the benchmark
-/// baseline.  A roof that fails (footprint off the tile set, no valid
-/// cells, topology infeasible) contributes an error record and the run
-/// continues.
+/// Each roof goes through gis::prepare_roof, the preparer the serving
+/// daemon shares.  The sky precompute (env series + sun positions +
+/// transposition trig) is prepared once per distinct site (lazily,
+/// shard by shard, dropping artifacts the next shard no longer needs)
+/// and shared immutably by every roof — the ROADMAP "shared-weather
+/// batching" item.  A roof that fails (footprint off the tile set, no
+/// valid cells, topology infeasible) contributes an error record and
+/// the run continues.
 
 #include <string>
 #include <vector>
@@ -55,10 +55,6 @@ struct CityRunOptions {
     /// Keep the valid prefix of an existing JSONL stream and continue
     /// after it; false truncates and recomputes everything.
     bool resume = false;
-    /// Prepare the sky once per site and share it (default).  false =
-    /// every roof regenerates weather + sun precompute (bench baseline;
-    /// results are bitwise identical either way).
-    bool share_sky = true;
     /// Share the horizon marching across roofs (gis::HorizonCache):
     /// sector planes are computed once per macro tile over a
     /// max_distance-halo mosaic and every roof window is assembled from

@@ -38,7 +38,10 @@ long floor_div(long a, long b) {
 
 HorizonCache::HorizonCache(const TileIndex& tiles, TileCache* tile_cache,
                            const HorizonCacheOptions& options)
-    : tiles_(tiles), tile_cache_(tile_cache), options_(options) {
+    : tiles_(tiles),
+      tile_cache_(tile_cache),
+      options_(options),
+      planes_(options.byte_budget, [](const Planes& p) { return p.bytes(); }) {
     check_arg(options_.macro_cells > 0,
               "HorizonCache: macro_cells must be positive");
     check_arg(std::isfinite(options_.horizon.max_distance) &&
@@ -70,36 +73,26 @@ WorldRect HorizonCache::macro_core_rect(long mx, long my) const {
 }
 
 std::uint64_t HorizonCache::tile_content_hash(const TileInfo& tile) {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = tile_hash_memo_.find(tile.path);
-        if (it != tile_hash_memo_.end()) return it->second;
-    }
-    // Hash with no lock held (the load may hit disk).  Two threads may
-    // race to hash the same tile; both compute the same value, so the
-    // duplicate work is benign.
-    std::shared_ptr<const geo::Raster> loaded;
-    geo::Raster direct;
-    const geo::Raster* src = nullptr;
-    if (tile_cache_) {
-        loaded = tile_cache_->load(tile.path);
-        src = loaded.get();
-    } else {
-        direct = geo::read_asc_grid_file(tile.path);
-        src = &direct;
-    }
-    std::uint64_t h = kFnvOffset;
-    h = fnv1a(h, static_cast<std::uint64_t>(src->width()));
-    h = fnv1a(h, static_cast<std::uint64_t>(src->height()));
-    h = fnv1a(h, src->origin_x());
-    h = fnv1a(h, src->origin_y());
-    h = fnv1a(h, src->nodata());
-    for (const double v : src->grid().data()) h = fnv1a(h, v);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        tile_hash_memo_.emplace(tile.path, h);
-    }
-    return h;
+    return *tile_hashes_.get(tile.path, 0, [&] {
+        std::shared_ptr<const geo::Raster> loaded;
+        geo::Raster direct;
+        const geo::Raster* src = nullptr;
+        if (tile_cache_) {
+            loaded = tile_cache_->load(tile.path);
+            src = loaded.get();
+        } else {
+            direct = geo::read_asc_grid_file(tile.path);
+            src = &direct;
+        }
+        std::uint64_t h = kFnvOffset;
+        h = fnv1a(h, static_cast<std::uint64_t>(src->width()));
+        h = fnv1a(h, static_cast<std::uint64_t>(src->height()));
+        h = fnv1a(h, src->origin_x());
+        h = fnv1a(h, src->origin_y());
+        h = fnv1a(h, src->nodata());
+        for (const double v : src->grid().data()) h = fnv1a(h, v);
+        return std::make_shared<const std::uint64_t>(h);
+    });
 }
 
 std::uint64_t HorizonCache::content_key(long mx, long my) {
@@ -154,88 +147,6 @@ std::shared_ptr<const HorizonCache::Planes> HorizonCache::build_macro(
     return planes;
 }
 
-std::shared_ptr<const HorizonCache::Planes> HorizonCache::macro_planes(
-    long mx, long my) {
-    const MacroKey key{mx, my};
-    const std::uint64_t ck = content_key(mx, my);
-
-    std::shared_ptr<InFlight> flight;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = index_.find(key);
-        if (it != index_.end()) {
-            if (it->second->content_key == ck) {
-                lru_.splice(lru_.begin(), lru_, it->second);
-                ++stats_.hits;
-                return it->second->planes;
-            }
-            // A contributing tile changed on disk: self-invalidate.
-            bytes_ -= it->second->planes->bytes();
-            lru_.erase(it->second);
-            index_.erase(it);
-        }
-        const auto fl = in_flight_.find(key);
-        if (fl != in_flight_.end()) {
-            flight = fl->second;
-            ++stats_.joins;
-        } else {
-            flight = std::make_shared<InFlight>();
-            in_flight_.emplace(key, flight);
-            owner = true;
-            ++stats_.misses;
-        }
-    }
-
-    if (!owner) {
-        // Join the build already marching this macro tile (TileCache
-        // pattern: wait on the entry's own latch, not the cache mutex).
-        std::unique_lock<std::mutex> lock(flight->mutex);
-        flight->done_cv.wait(lock, [&] { return flight->done; });
-        if (flight->error) std::rethrow_exception(flight->error);
-        return flight->result;
-    }
-
-    std::shared_ptr<const Planes> planes;
-    std::exception_ptr error;
-    try {
-        planes = build_macro(mx, my);
-    } catch (...) {
-        error = std::current_exception();
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        in_flight_.erase(key);
-        if (!error) {
-            lru_.push_front(Entry{key, ck, planes});
-            index_[key] = lru_.begin();
-            bytes_ += planes->bytes();
-            evict_over_budget_locked();
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(flight->mutex);
-        flight->done = true;
-        flight->result = planes;
-        flight->error = error;
-    }
-    flight->done_cv.notify_all();
-    if (error) std::rethrow_exception(error);
-    return planes;
-}
-
-void HorizonCache::evict_over_budget_locked() {
-    // Keep at least the most recent entry resident so one oversized
-    // macro tile cannot thrash the cache into rebuilding every lookup.
-    while (bytes_ > options_.byte_budget && lru_.size() > 1) {
-        bytes_ -= lru_.back().planes->bytes();
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-        ++stats_.evictions;
-    }
-}
-
 geo::HorizonMap HorizonCache::window(double origin_x, double origin_y,
                                      int x0, int y0, int w, int h) {
     check_arg(w > 0 && h > 0, "HorizonCache::window: empty window");
@@ -262,7 +173,8 @@ geo::HorizonMap HorizonCache::window(double origin_x, double origin_y,
     const long my1 = floor_div(gy0 + h - 1, M);
     for (long my = my0; my <= my1; ++my) {
         for (long mx = mx0; mx <= mx1; ++mx) {
-            const std::shared_ptr<const Planes> sp = macro_planes(mx, my);
+            const std::shared_ptr<const Planes> sp = planes_.get(
+                {mx, my}, content_key(mx, my), [&] { return build_macro(mx, my); });
             const long gxa = std::max(gx0, mx * M);
             const long gxb = std::min(gx0 + w, (mx + 1) * M);
             const long gya = std::max(gy0, my * M);
@@ -293,33 +205,21 @@ geo::HorizonMap HorizonCache::window(double origin_x, double origin_y,
 }
 
 HorizonCacheStats HorizonCache::stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    HorizonCacheStats s = stats_;
-    s.bytes = bytes_;
-    return s;
+    const KeyedCacheStats s = planes_.stats();
+    return {.hits = s.hits,
+            .misses = s.misses,
+            .joins = s.joins,
+            .evictions = s.evictions,
+            .bytes = s.cost};
 }
 
-std::size_t HorizonCache::bytes_used() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return bytes_;
-}
+std::size_t HorizonCache::bytes_used() const { return planes_.cost(); }
 
-void HorizonCache::shrink_to(std::size_t limit) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    while (bytes_ > limit && !lru_.empty()) {
-        bytes_ -= lru_.back().planes->bytes();
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-        ++stats_.evictions;
-    }
-}
+void HorizonCache::shrink_to(std::size_t limit) { planes_.shrink_to(limit); }
 
 void HorizonCache::clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    index_.clear();
-    tile_hash_memo_.clear();
-    bytes_ = 0;
+    planes_.clear();
+    tile_hashes_.clear();
 }
 
 }  // namespace pvfp::gis

@@ -29,10 +29,10 @@
 /// Entries are keyed on the macro index plus a content fingerprint of
 /// the contributing tiles (FNV-1a over each intersecting tile's decoded
 /// heights, memoized per path) and the effective HorizonOptions + march
-/// distance, so a changed tile self-invalidates.  Residency follows the
-/// TileCache patterns: per-key in-flight build dedup (concurrent
-/// requesters of one macro tile march it once and share the planes) and
-/// LRU eviction under a byte budget.
+/// distance, so a changed tile self-invalidates.  Residency is a
+/// KeyedCache versioned by that content key: concurrent requesters of
+/// one macro tile march it once and share the planes, and LRU eviction
+/// runs under a byte budget.
 ///
 /// NODATA cells of a macro mosaic are backfilled with the mosaic's
 /// minimum data height (the make_scenario convention; 0 when the mosaic
@@ -40,16 +40,14 @@
 /// content-pure.
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <condition_variable>
-#include <unordered_map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "pvfp/geo/horizon.hpp"
 #include "pvfp/gis/tile_index.hpp"
+#include "pvfp/util/keyed_cache.hpp"
 
 namespace pvfp::gis {
 
@@ -110,26 +108,12 @@ private:
             return (angles.size() + svf.size()) * sizeof(float);
         }
     };
-    struct InFlight {
-        std::mutex mutex;
-        std::condition_variable done_cv;
-        bool done = false;
-        std::shared_ptr<const Planes> result;
-        std::exception_ptr error;
-    };
     using MacroKey = std::pair<long, long>;
-    struct Entry {
-        MacroKey key;
-        std::uint64_t content_key = 0;
-        std::shared_ptr<const Planes> planes;
-    };
 
-    std::shared_ptr<const Planes> macro_planes(long mx, long my);
     std::shared_ptr<const Planes> build_macro(long mx, long my) const;
     std::uint64_t content_key(long mx, long my);
     std::uint64_t tile_content_hash(const TileInfo& tile);
     WorldRect macro_core_rect(long mx, long my) const;
-    void evict_over_budget_locked();
 
     const TileIndex& tiles_;
     TileCache* tile_cache_;
@@ -137,13 +121,10 @@ private:
     double halo_m_ = 0.0;
     std::uint64_t options_key_ = 0;
 
-    mutable std::mutex mutex_;
-    std::list<Entry> lru_;  ///< front = most recently used
-    std::map<MacroKey, std::list<Entry>::iterator> index_;
-    std::map<MacroKey, std::shared_ptr<InFlight>> in_flight_;
-    std::unordered_map<std::string, std::uint64_t> tile_hash_memo_;
-    std::size_t bytes_ = 0;
-    HorizonCacheStats stats_;
+    /// Macro planes, versioned by content_key, priced in bytes.
+    KeyedCache<MacroKey, Planes> planes_;
+    /// Content hash per tile path (unbounded memo).
+    KeyedCache<std::string, std::uint64_t> tile_hashes_;
 };
 
 }  // namespace pvfp::gis

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "pvfp/geo/poly_raster.hpp"
+#include "pvfp/gis/horizon_cache.hpp"
 #include "pvfp/gis/json.hpp"
 #include "pvfp/obs/trace.hpp"
 #include "pvfp/util/csv.hpp"
@@ -280,6 +281,60 @@ core::RoofScenario make_scenario(const RoofRecord& record,
         std::make_shared<const geo::Raster>(std::move(local)),
         std::make_shared<const pvfp::Grid2D<unsigned char>>(
             std::move(mask))};
+}
+
+solar::Location roof_location(const RoofRecord& record,
+                              const solar::Location& base) {
+    solar::Location location = base;
+    if (record.has_location) {
+        location.latitude_deg = record.latitude_deg;
+        location.longitude_deg = record.longitude_deg;
+    }
+    return location;
+}
+
+core::PreparedScenario prepare_roof(const RoofRecord& record,
+                                    const TileIndex& tiles,
+                                    const core::ScenarioConfig& base,
+                                    const ScenarioBuildOptions& build,
+                                    TileCache* tile_cache,
+                                    HorizonCache* horizon_cache,
+                                    const SkyLookup& sky,
+                                    RoofPlaneFit* fit_out) {
+    WindowOrigin origin;
+    const core::RoofScenario scenario =
+        make_scenario(record, tiles, build, tile_cache, fit_out, &origin);
+
+    core::ScenarioConfig config = base;
+    config.cell_size = tiles.cell_size();
+    config.location = roof_location(record, base.location);
+    if (horizon_cache) {
+        // Shared planes answer the full uniform max_distance over real
+        // halo terrain, so the window cap below does not apply.  The
+        // closure maps the scene-local window back onto the tile lattice
+        // via the pre-rebase world origin.
+        const double cs = tiles.cell_size();
+        config.horizon_provider =
+            [horizon_cache, origin, cs](const geo::Raster&, int x0, int y0,
+                                        int w, int h,
+                                        const geo::HorizonOptions&)
+            -> std::optional<geo::HorizonMap> {
+            return horizon_cache->window(origin.x + x0 * cs,
+                                         origin.y - y0 * cs, x0, y0, w, h);
+        };
+    } else {
+        // The mosaic holds real heights only out to the context margin;
+        // marching the horizon rays further would sample the raster's
+        // clamped edge values as if they were terrain.  Bound the march
+        // by what the window can actually answer (never extend a
+        // tighter user bound).
+        config.horizon.max_distance = std::min(
+            config.horizon.max_distance,
+            build.context_margin_m +
+                std::hypot(record.bbox.width(), record.bbox.height()));
+    }
+    config.shared_sky = sky(config.location);
+    return core::prepare_scenario(scenario, config);
 }
 
 RoofRegistry RoofRegistry::load(const std::string& path) {

@@ -15,6 +15,10 @@
 ///       suitable-area extraction sees residuals against the *fitted*
 ///       plane of the *measured* DSM.
 ///
+/// prepare_roof continues through the roof's configuration (site,
+/// horizon source, sky) to core::prepare_scenario — the one roof
+/// preparer of the batch runner and the serving daemon.
+///
 /// Index formats (world coordinates, meters; ids must be unique):
 ///   CSV:  id,min_x,min_y,max_x,max_y[,lat,lon][,polygon]
 ///         polygon = "x y;x y;..." (>= 3 vertices, implicit closure)
@@ -22,13 +26,18 @@
 ///          "lat": ..., "lon": ..., "polygon": [[x,y],...]}, ...]
 
 #include <array>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "pvfp/core/pipeline.hpp"
 #include "pvfp/core/roof_library.hpp"
 #include "pvfp/gis/tile_index.hpp"
 
 namespace pvfp::gis {
+
+class HorizonCache;  // gis/horizon_cache.hpp
 
 /// One roof footprint of the index.
 struct RoofRecord {
@@ -101,6 +110,34 @@ core::RoofScenario make_scenario(const RoofRecord& record,
                                  TileCache* cache = nullptr,
                                  RoofPlaneFit* fit_out = nullptr,
                                  WindowOrigin* origin_out = nullptr);
+
+/// Site of \p record: its registry lat/lon when present, else \p base's;
+/// the timezone is always \p base's.
+solar::Location roof_location(const RoofRecord& record,
+                              const solar::Location& base);
+
+/// The caller's sky store: the shared artifact of one site.
+using SkyLookup = std::function<std::shared_ptr<const solar::SharedSkyArtifact>(
+    const solar::Location&)>;
+
+/// Run \p record through the per-roof pipeline: make_scenario, then
+/// \p base adjusted for the roof, then core::prepare_scenario.  The
+/// adjusted config takes the tile set's cell size, the site from
+/// roof_location, and the sky from \p sky.  Horizons come from
+/// \p horizon_cache when non-null: window views of the shared
+/// macro-tile planes at the full base max_distance.  Otherwise they are
+/// marched over the roof's own mosaic, with max_distance capped at the
+/// context margin plus the footprint diagonal, since the mosaic holds
+/// real terrain no further.  The result's config is the adjusted one;
+/// \p fit_out, when non-null, receives the plane fit.
+core::PreparedScenario prepare_roof(const RoofRecord& record,
+                                    const TileIndex& tiles,
+                                    const core::ScenarioConfig& base,
+                                    const ScenarioBuildOptions& build,
+                                    TileCache* tile_cache,
+                                    HorizonCache* horizon_cache,
+                                    const SkyLookup& sky,
+                                    RoofPlaneFit* fit_out = nullptr);
 
 /// The loaded index.
 class RoofRegistry {

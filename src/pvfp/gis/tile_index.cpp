@@ -33,93 +33,30 @@ long lattice_offset(double value, double ref, double cell_size,
 }  // namespace
 
 TileCache::TileCache(std::size_t capacity, Loader loader)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      loader_(loader ? std::move(loader) : [](const std::string& p) {
+    : loader_(loader ? std::move(loader) : [](const std::string& p) {
           return geo::read_asc_grid_file(p);
-      }) {}
+      }),
+      tiles_(capacity == 0 ? 1 : capacity) {}
 
 std::shared_ptr<const geo::Raster> TileCache::load(const std::string& path) {
-    std::shared_ptr<InFlight> flight;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = index_.find(path);
-        if (it != index_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
-            ++hits_;
-            return it->second->second;
-        }
-        const auto fl = in_flight_.find(path);
-        if (fl != in_flight_.end()) {
-            flight = fl->second;  // join the decode already running
-            ++hits_;
-        } else {
-            flight = std::make_shared<InFlight>();
-            in_flight_.emplace(path, flight);
-            owner = true;
-            ++misses_;
-        }
-    }
-
-    if (!owner) {
-        // Second requester of the *same* tile: wait on this tile's
-        // entry, leaving the cache mutex free for other tiles' loads.
-        std::unique_lock<std::mutex> lock(flight->mutex);
-        flight->done_cv.wait(lock, [&] { return flight->done; });
-        if (flight->error) std::rethrow_exception(flight->error);
-        return flight->result;
-    }
-
-    // Owner decodes with no lock held: concurrent misses on different
-    // tiles overlap their parses fully.
-    std::shared_ptr<const geo::Raster> raster;
-    std::exception_ptr error;
-    try {
-        raster = std::make_shared<const geo::Raster>(loader_(path));
-    } catch (...) {
-        error = std::current_exception();
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        in_flight_.erase(path);
-        if (!error) {
-            lru_.emplace_front(path, raster);
-            index_[path] = lru_.begin();
-            while (lru_.size() > capacity_) {
-                index_.erase(lru_.back().first);
-                lru_.pop_back();
-            }
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(flight->mutex);
-        flight->done = true;
-        flight->result = raster;
-        flight->error = error;
-    }
-    flight->done_cv.notify_all();
-    if (error) std::rethrow_exception(error);
-    return raster;
+    return tiles_.get(path, 0, [&] {
+        return std::make_shared<const geo::Raster>(loader_(path));
+    });
 }
 
 std::size_t TileCache::hits() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
+    const KeyedCacheStats s = tiles_.stats();
+    return s.hits + s.joins;
 }
 
-std::size_t TileCache::misses() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
+std::size_t TileCache::misses() const { return tiles_.stats().misses; }
 
 std::size_t TileCache::bytes() const {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::size_t total = 0;
-    for (const Entry& entry : lru_)
-        total += static_cast<std::size_t>(entry.second->width()) *
-                 static_cast<std::size_t>(entry.second->height()) *
-                 sizeof(double);
+    tiles_.for_each([&](const geo::Raster& tile) {
+        total += static_cast<std::size_t>(tile.width()) *
+                 static_cast<std::size_t>(tile.height()) * sizeof(double);
+    });
     return total;
 }
 

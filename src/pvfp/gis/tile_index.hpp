@@ -17,19 +17,15 @@
 /// headers.  All tiles must share one cell size and sit on one common
 /// cell lattice (checked at scan time) — resampling is out of scope.
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "pvfp/geo/asc_grid.hpp"
 #include "pvfp/geo/raster.hpp"
+#include "pvfp/util/keyed_cache.hpp"
 
 namespace pvfp::gis {
 
@@ -73,16 +69,9 @@ struct TileInfo {
 /// Shared by the city runner's concurrent roof windows so a tile
 /// crossed by many roofs is parsed once, while total resident tiles
 /// stay bounded (load -> mosaic -> evict keeps city-scale memory flat).
-///
-/// Misses never hold the cache mutex across the disk decode: the first
-/// requester of a tile registers a per-key in-flight entry, releases the
-/// global lock, and parses; a concurrent requester of the *same* tile
-/// waits on that entry (not the global mutex, so misses on *different*
-/// tiles decode fully in parallel) and shares the one decoded raster —
-/// load-once semantics without a stop-the-world parse, which matters
-/// once the cache lives inside a long-running server instead of a batch
-/// shard.  A failed decode wakes every waiter with the error and leaves
-/// nothing cached, so a transient I/O failure is retryable.
+/// A KeyedCache underneath: a miss decodes with no cache lock held,
+/// concurrent requesters of the same tile share that one decode, and a
+/// failed decode reaches every waiter and caches nothing (retryable).
 class TileCache {
 public:
     /// Decodes one tile file; injectable so tests can instrument
@@ -107,26 +96,8 @@ public:
     std::size_t bytes() const;
 
 private:
-    using Entry = std::pair<std::string, std::shared_ptr<const geo::Raster>>;
-
-    /// One decode in progress: waiters block on this entry's own
-    /// mutex/cv, never on the cache-wide one.
-    struct InFlight {
-        std::mutex mutex;
-        std::condition_variable done_cv;
-        bool done = false;
-        std::shared_ptr<const geo::Raster> result;
-        std::exception_ptr error;
-    };
-
-    mutable std::mutex mutex_;
-    std::size_t capacity_;
     Loader loader_;
-    std::list<Entry> lru_;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-    std::unordered_map<std::string, std::shared_ptr<InFlight>> in_flight_;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
+    KeyedCache<std::string, geo::Raster> tiles_;  ///< one tile costs 1
 };
 
 /// The discovered tile set of one DSM directory.

@@ -1,9 +1,7 @@
 #include "pvfp/serve/resident_state.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
-#include <condition_variable>
+#include <limits>
 
 #include "pvfp/util/error.hpp"
 #include "pvfp/weather/synthetic.hpp"
@@ -93,49 +91,19 @@ std::size_t sky_artifact_bytes(const solar::SharedSkyArtifact& artifact) {
                     sizeof(std::uint8_t));
 }
 
-/// One in-flight preparation (roof build or sky precompute): joiners
-/// wait on this latch, never on a state-wide mutex.
-struct ResidentState::Build {
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    bool done = false;
-    std::shared_ptr<const PreparedRoof> roof;
-    std::shared_ptr<const solar::SharedSkyArtifact> sky;
-    std::exception_ptr error;
-
-    void finish(std::shared_ptr<const PreparedRoof> r,
-                std::shared_ptr<const solar::SharedSkyArtifact> s,
-                std::exception_ptr e) {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            done = true;
-            roof = std::move(r);
-            sky = std::move(s);
-            error = e;
-        }
-        done_cv.notify_all();
-    }
-
-    void wait() {
-        std::unique_lock<std::mutex> lock(mutex);
-        done_cv.wait(lock, [&] { return done; });
-        if (error) std::rethrow_exception(error);
-    }
-};
-
 ResidentState::ResidentState(gis::TileIndex tiles, gis::RoofRegistry registry,
                              ServeConfig config)
     : tiles_(std::move(tiles)),
       serve_config_(std::move(config)),
-      base_config_(serve_config_.config),
-      tile_cache_(serve_config_.tile_cache_tiles) {
+      tile_cache_(serve_config_.tile_cache_tiles),
+      roofs_(std::numeric_limits<std::size_t>::max(),
+             [](const PreparedRoof& roof) { return roof.resident_bytes; }),
+      skies_(std::numeric_limits<std::size_t>::max(), sky_artifact_bytes) {
     check_arg(!serve_config_.topologies.empty(),
               "ResidentState: no topologies configured");
-    base_config_.cell_size = tiles_.cell_size();
-    base_config_.shared_sky = nullptr;
     if (serve_config_.share_horizon) {
         gis::HorizonCacheOptions hc;
-        hc.horizon = base_config_.horizon;
+        hc.horizon = serve_config_.config.horizon;
         hc.byte_budget = serve_config_.memory_budget_bytes;
         horizon_cache_ = std::make_unique<gis::HorizonCache>(
             tiles_, &tile_cache_, hc);
@@ -164,253 +132,97 @@ std::shared_ptr<const gis::RoofRegistry> ResidentState::registry() const {
 }
 
 void ResidentState::invalidate(const std::string& roof_id) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    drop_entry_locked(roof_id, /*stale=*/true);
+    roofs_.erase(roof_id);
 }
 
-void ResidentState::drop_entry_locked(const std::string& roof_id,
-                                      bool stale) {
-    const auto it = entries_.find(roof_id);
-    if (it == entries_.end()) return;
-    entry_bytes_ -= it->second.roof->resident_bytes;
-    lru_.erase(it->second.lru_it);
-    entries_.erase(it);
-    if (stale)
-        ++invalidations_;
-    else
-        ++evictions_;
+std::size_t ResidentState::sky_bytes_in_use() {
+    // use_count == 1: only the cache holds it — no resident roof, no
+    // running build.  Safe to drop.
+    skies_.erase_if([](const auto& sky) { return sky.use_count() == 1; });
+    return skies_.cost();
 }
 
-void ResidentState::evict_over_budget_locked() {
-    // Sky artifacts referenced by resident entries are part of the
+void ResidentState::enforce_budget() {
+    // Sky artifacts referenced by resident roofs are part of the
     // resident footprint; an artifact's bytes drop off once the last
-    // roof using it is evicted (pruned below).
-    const auto artifact_bytes = [&] {
-        std::size_t b = 0;
-        std::lock_guard<std::mutex> sky_lock(sky_mutex_);
-        for (auto it = sky_cache_.begin(); it != sky_cache_.end();) {
-            // use_count == 1: only the cache holds it — no resident
-            // roof, no in-flight build.  Safe to drop.
-            if (it->second.use_count() == 1) {
-                it = sky_cache_.erase(it);
-            } else {
-                b += sky_artifact_bytes(*it->second);
-                ++it;
-            }
-        }
-        return b;
-    };
+    // roof using it is evicted.
+    const std::size_t budget = serve_config_.memory_budget_bytes;
     const std::size_t horizon_bytes =
         horizon_cache_ ? horizon_cache_->bytes_used() : 0;
-    while (lru_.size() > 1 &&
-           entry_bytes_ + artifact_bytes() + horizon_bytes >
-               serve_config_.memory_budget_bytes) {
-        drop_entry_locked(lru_.back(), /*stale=*/false);
-    }
-    const std::size_t remaining =
-        entry_bytes_ + artifact_bytes();  // prunes released artifacts too
+    roofs_.evict_while([&](std::size_t roof_bytes) {
+        return roof_bytes + sky_bytes_in_use() + horizon_bytes > budget;
+    });
     // Roof entries alone may still exceed the budget (keep-1 floor);
     // shrink the horizon planes into whatever headroom is left.  Planes
     // rebuild bitwise-identically on demand, so this only costs time.
-    if (horizon_cache_) {
-        horizon_cache_->shrink_to(
-            serve_config_.memory_budget_bytes > remaining
-                ? serve_config_.memory_budget_bytes - remaining
-                : 0);
-    }
+    const std::size_t remaining = roofs_.cost() + sky_bytes_in_use();
+    if (horizon_cache_)
+        horizon_cache_->shrink_to(budget > remaining ? budget - remaining
+                                                     : 0);
 }
 
-std::shared_ptr<const solar::SharedSkyArtifact> ResidentState::sky_for(
-    const solar::Location& location) {
-    const std::pair<double, double> key{location.latitude_deg,
-                                        location.longitude_deg};
-    const std::string flight_key = std::to_string(key.first) + "," +
-                                   std::to_string(key.second);
-    std::shared_ptr<Build> build;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(sky_mutex_);
-        const auto it = sky_cache_.find(key);
-        if (it != sky_cache_.end()) return it->second;
-        const auto fl = sky_in_flight_.find(flight_key);
-        if (fl != sky_in_flight_.end()) {
-            build = fl->second;
-        } else {
-            build = std::make_shared<Build>();
-            sky_in_flight_.emplace(flight_key, build);
-            owner = true;
-        }
-    }
-    if (!owner) {
-        build->wait();
-        return build->sky;
-    }
-
-    std::shared_ptr<const solar::SharedSkyArtifact> sky;
-    std::exception_ptr error;
-    try {
-        sky = solar::make_shared_sky(
-            location, base_config_.grid,
-            weather::generate_synthetic_weather(location, base_config_.grid,
-                                                base_config_.weather),
-            base_config_.field.sky_model);
-    } catch (...) {
-        error = std::current_exception();
-    }
-    {
-        std::lock_guard<std::mutex> lock(sky_mutex_);
-        sky_in_flight_.erase(flight_key);
-        if (!error) sky_cache_.emplace(key, sky);
-    }
-    build->finish(nullptr, sky, error);
-    if (error) std::rethrow_exception(error);
-    return sky;
-}
-
-std::shared_ptr<PreparedRoof> ResidentState::build_roof(
+std::shared_ptr<const PreparedRoof> ResidentState::build_roof(
     const gis::RoofRecord& record, std::uint64_t hash) {
+    const core::ScenarioConfig& base = serve_config_.config;
+    const gis::SkyLookup sky = [&](const solar::Location& location) {
+        return skies_.get(
+            {location.latitude_deg, location.longitude_deg}, 0, [&] {
+                return solar::make_shared_sky(
+                    location, base.grid,
+                    weather::generate_synthetic_weather(location, base.grid,
+                                                        base.weather),
+                    base.field.sky_model);
+            });
+    };
     gis::RoofPlaneFit fit;
-    gis::WindowOrigin origin;
-    const core::RoofScenario scenario = gis::make_scenario(
-        record, tiles_, serve_config_.build, &tile_cache_, &fit, &origin);
-
-    core::ScenarioConfig config = base_config_;
-    if (record.has_location) {
-        config.location.latitude_deg = record.latitude_deg;
-        config.location.longitude_deg = record.longitude_deg;
-    }
-    if (horizon_cache_) {
-        // Shared planes answer the full uniform max_distance over real
-        // halo terrain — the run_city --shared-horizon semantics — so
-        // the window cap below does not apply.
-        gis::HorizonCache* hc = horizon_cache_.get();
-        const double wx = origin.x;
-        const double wy = origin.y;
-        const double cs = tiles_.cell_size();
-        config.horizon_provider =
-            [hc, wx, wy, cs](const geo::Raster&, int x0, int y0, int w,
-                             int h, const geo::HorizonOptions&)
-            -> std::optional<geo::HorizonMap> {
-            return hc->window(wx + x0 * cs, wy - y0 * cs, x0, y0, w, h);
-        };
-    } else {
-        // Same clamp as run_city: the mosaic answers horizon rays only
-        // out to the context margin, so never march further.
-        config.horizon.max_distance = std::min(
-            config.horizon.max_distance,
-            serve_config_.build.context_margin_m +
-                std::hypot(record.bbox.width(), record.bbox.height()));
-    }
-    config.shared_sky = sky_for(config.location);
-
-    auto roof = std::make_shared<PreparedRoof>(PreparedRoof{
-        record.id, hash, fit, config,
-        core::prepare_scenario(scenario, config), 0});
-    roof->resident_bytes = prepared_scenario_bytes(roof->prepared);
-    return roof;
+    core::PreparedScenario prepared = gis::prepare_roof(
+        record, tiles_, base, serve_config_.build, &tile_cache_,
+        horizon_cache_.get(), sky, &fit);
+    core::ScenarioConfig config = prepared.config;
+    const std::size_t bytes = prepared_scenario_bytes(prepared);
+    return std::make_shared<const PreparedRoof>(
+        PreparedRoof{record.id, hash, fit, std::move(config),
+                     std::move(prepared), bytes});
 }
 
 std::shared_ptr<const PreparedRoof> ResidentState::prepare(
     const std::string& roof_id) {
-    for (;;) {
-        // Snapshot the registry: a concurrent update_registry swaps the
-        // pointer, never mutates the snapshot.
-        std::shared_ptr<const gis::RoofRegistry> registry;
-        std::shared_ptr<const std::unordered_map<std::string, long>> by_id;
-        {
-            std::lock_guard<std::mutex> lock(registry_mutex_);
-            registry = registry_;
-            by_id = by_id_;
-        }
-        const auto rec_it = by_id->find(roof_id);
-        check_arg(rec_it != by_id->end(),
-                  "serve: unknown roof '" + roof_id + "'");
-        const gis::RoofRecord& record = registry->record(rec_it->second);
-        const std::uint64_t hash =
-            roof_record_hash(record, serve_config_.build);
-
-        std::shared_ptr<Build> build;
-        bool owner = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const auto it = entries_.find(roof_id);
-            if (it != entries_.end()) {
-                if (it->second.roof->content_hash == hash) {
-                    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-                    ++hits_;
-                    return it->second.roof;
-                }
-                // Index edit: the resident entry no longer matches the
-                // record.  Drop it and rebuild below.
-                drop_entry_locked(roof_id, /*stale=*/true);
-            }
-            const auto fl = in_flight_.find(roof_id);
-            if (fl != in_flight_.end()) {
-                build = fl->second;
-                ++hits_;
-            } else {
-                build = std::make_shared<Build>();
-                in_flight_.emplace(roof_id, build);
-                owner = true;
-                ++misses_;
-            }
-        }
-
-        if (!owner) {
-            build->wait();
-            // The joined build may predate a registry edit; only accept
-            // it when it matches what this request resolved.
-            if (build->roof && build->roof->content_hash == hash)
-                return build->roof;
-            continue;
-        }
-
-        // Owner builds with no state lock held: different roofs prepare
-        // fully in parallel (tile loads dedup in the TileCache, the sky
-        // precompute dedups per site above).
-        std::shared_ptr<PreparedRoof> roof;
-        std::exception_ptr error;
-        try {
-            roof = build_roof(record, hash);
-        } catch (...) {
-            error = std::current_exception();
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            in_flight_.erase(roof_id);
-            if (!error) {
-                // A stale twin cannot exist here: any entry was dropped
-                // before this build started, and only the in-flight
-                // owner inserts.
-                lru_.push_front(roof_id);
-                entries_[roof_id] = EntryRef{roof, lru_.begin()};
-                entry_bytes_ += roof->resident_bytes;
-                evict_over_budget_locked();
-            }
-        }
-        build->finish(roof, nullptr, error);
-        if (error) std::rethrow_exception(error);
-        return roof;
+    // Snapshot the registry: a concurrent update_registry swaps the
+    // pointer, never mutates the snapshot.
+    std::shared_ptr<const gis::RoofRegistry> registry;
+    std::shared_ptr<const std::unordered_map<std::string, long>> by_id;
+    {
+        std::lock_guard<std::mutex> lock(registry_mutex_);
+        registry = registry_;
+        by_id = by_id_;
     }
+    const auto rec_it = by_id->find(roof_id);
+    check_arg(rec_it != by_id->end(), "serve: unknown roof '" + roof_id + "'");
+    const gis::RoofRecord& record = registry->record(rec_it->second);
+    const std::uint64_t hash = roof_record_hash(record, serve_config_.build);
+
+    // A resident entry of another hash is stale (index edit): the cache
+    // drops it and rebuilds.  The build runs with no state lock held, so
+    // different roofs prepare fully in parallel.
+    bool built = false;
+    auto roof = roofs_.get(
+        roof_id, hash, [&] { return build_roof(record, hash); }, &built);
+    if (built) enforce_budget();
+    return roof;
 }
 
 ResidentStats ResidentState::stats() const {
     ResidentStats s;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        s.entries = entries_.size();
-        s.prepared_bytes = entry_bytes_;
-        s.hits = hits_;
-        s.misses = misses_;
-        s.evictions = evictions_;
-        s.invalidations = invalidations_;
-    }
-    {
-        std::lock_guard<std::mutex> lock(sky_mutex_);
-        s.sky_artifacts = sky_cache_.size();
-        for (const auto& [key, sky] : sky_cache_)
-            s.sky_bytes += sky_artifact_bytes(*sky);
-    }
+    const KeyedCacheStats roofs = roofs_.stats();
+    s.entries = roofs.entries;
+    s.prepared_bytes = roofs.cost;
+    s.hits = roofs.hits + roofs.joins;
+    s.misses = roofs.misses;
+    s.evictions = roofs.evictions;
+    s.invalidations = roofs.invalidations;
+    const KeyedCacheStats skies = skies_.stats();
+    s.sky_artifacts = skies.entries;
+    s.sky_bytes = skies.cost;
     s.resident_bytes = s.prepared_bytes + s.sky_bytes;
     s.tile_cache_hits = tile_cache_.hits();
     s.tile_cache_misses = tile_cache_.misses();

@@ -16,21 +16,22 @@
 ///      needs), LRU-evicted against a byte budget accounted from the
 ///      actual buffer sizes.
 ///
-/// Entries are content-hashed over the registry record and the build
-/// knobs, so an index edit (new bbox, moved polygon, changed site)
-/// invalidates exactly the affected roofs on their next request after
-/// update_registry — stale state can never serve.  Concurrent requests
-/// for the same cold roof join one in-flight build (waiting on that
-/// build's own latch, never a state-wide lock); requests for different
-/// roofs prepare fully in parallel.  All responses derived from a
+/// Roofs are prepared by gis::prepare_roof, the preparer run_city
+/// shares, and held in a KeyedCache versioned by a content hash over
+/// the registry record and the build knobs, so an index edit (new bbox,
+/// moved polygon, changed site) invalidates exactly the affected roofs
+/// on their next request after update_registry — stale state can never
+/// serve.  Concurrent requests for the same cold roof join one
+/// in-flight build (waiting on that build's own latch, never a
+/// state-wide lock); requests for different roofs prepare fully in
+/// parallel.  Sky artifacts sit in a second KeyedCache keyed on the
+/// exact (lat, lon) site.  All responses derived from a
 /// PreparedRoof are bitwise deterministic at any thread count (the
 /// PR-2..PR-5 contract), so caching is invisible in the output bytes —
 /// the property the serving plane's replay gate rests on.
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -42,6 +43,7 @@
 #include "pvfp/gis/horizon_cache.hpp"
 #include "pvfp/gis/roof_registry.hpp"
 #include "pvfp/gis/tile_index.hpp"
+#include "pvfp/util/keyed_cache.hpp"
 
 namespace pvfp::serve {
 
@@ -148,18 +150,17 @@ public:
     ResidentStats stats() const;
 
 private:
-    struct Build;  // one in-flight preparation
-
-    std::shared_ptr<PreparedRoof> build_roof(const gis::RoofRecord& record,
-                                             std::uint64_t hash);
-    std::shared_ptr<const solar::SharedSkyArtifact> sky_for(
-        const solar::Location& location);
-    void evict_over_budget_locked();
-    void drop_entry_locked(const std::string& roof_id, bool stale);
+    std::shared_ptr<const PreparedRoof> build_roof(
+        const gis::RoofRecord& record, std::uint64_t hash);
+    /// Evict roofs past memory_budget_bytes, then shrink the horizon
+    /// planes into whatever headroom the roofs leave.
+    void enforce_budget();
+    /// Bytes of the sky artifacts still in use, after dropping the ones
+    /// no resident roof or running build holds.
+    std::size_t sky_bytes_in_use();
 
     gis::TileIndex tiles_;
     ServeConfig serve_config_;
-    core::ScenarioConfig base_config_;  ///< config with tile cell size
     gis::TileCache tile_cache_;
     /// Shared macro-tile horizon planes (share_horizon; else null).
     /// Its bytes count against memory_budget_bytes: the roof eviction
@@ -171,25 +172,11 @@ private:
     /// id -> record index of *registry_ (rebuilt on update_registry).
     std::shared_ptr<const std::unordered_map<std::string, long>> by_id_;
 
-    mutable std::mutex mutex_;  ///< guards everything below
-    struct EntryRef {
-        std::shared_ptr<const PreparedRoof> roof;
-        std::list<std::string>::iterator lru_it;
-    };
-    std::unordered_map<std::string, EntryRef> entries_;
-    std::list<std::string> lru_;  ///< front = most recently used
-    std::unordered_map<std::string, std::shared_ptr<Build>> in_flight_;
-    std::size_t entry_bytes_ = 0;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
-    std::size_t evictions_ = 0;
-    std::size_t invalidations_ = 0;
-
-    mutable std::mutex sky_mutex_;
-    std::map<std::pair<double, double>,
-             std::shared_ptr<const solar::SharedSkyArtifact>>
-        sky_cache_;
-    std::unordered_map<std::string, std::shared_ptr<Build>> sky_in_flight_;
+    /// Prepared roofs by id, versioned by roof_record_hash, priced at
+    /// resident_bytes.  Evicted by enforce_budget, not by its own budget.
+    KeyedCache<std::string, PreparedRoof> roofs_;
+    /// Sky artifacts by exact (lat, lon), priced at sky_artifact_bytes.
+    KeyedCache<std::pair<double, double>, solar::SharedSkyArtifact> skies_;
 };
 
 /// Actual buffer footprint of a prepared scenario (the accounting unit

@@ -138,5 +138,37 @@ TEST(Pipeline, ConfigValidation) {
     EXPECT_THROW(prepare_scenario(make_toy(), config2), InvalidArgument);
 }
 
+TEST(Pipeline, RejectsASharedSkyOfAnotherSite) {
+    // A sky whose site differs from config.location only in the 7th
+    // decimal would still carry another site's sun geometry: rejected,
+    // like a grid mismatch, instead of silently simulated.
+    ScenarioConfig config;
+    config.grid = TimeGrid(60, 1, 2);
+    solar::Location nearby = config.location;
+    nearby.latitude_deg += 1e-7;
+    config.shared_sky = solar::make_shared_sky(
+        nearby, config.grid,
+        weather::generate_synthetic_weather(nearby, config.grid,
+                                            config.weather),
+        config.field.sky_model);
+    EXPECT_THROW(prepare_scenario(make_toy(), config), InvalidArgument);
+
+    solar::Location other_zone = config.location;
+    other_zone.timezone_hours += 1.0;
+    config.shared_sky = solar::make_shared_sky(
+        other_zone, config.grid,
+        weather::generate_synthetic_weather(other_zone, config.grid,
+                                            config.weather),
+        config.field.sky_model);
+    EXPECT_THROW(prepare_scenario(make_toy(), config), InvalidArgument);
+
+    config.shared_sky = solar::make_shared_sky(
+        config.location, config.grid,
+        weather::generate_synthetic_weather(config.location, config.grid,
+                                            config.weather),
+        config.field.sky_model);
+    EXPECT_NO_THROW(prepare_scenario(make_toy(), config));
+}
+
 }  // namespace
 }  // namespace pvfp::core

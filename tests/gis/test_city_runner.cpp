@@ -1,8 +1,8 @@
 /// \file test_city_runner.cpp
 /// The streaming batch driver against the synthetic city fixture:
 /// thread-count-bitwise JSONL, resume-after-kill byte identity,
-/// shared-sky == per-roof regeneration, equivalence with the per-roof
-/// pipeline, error records, ranking, and the JSONL codec itself.
+/// equivalence with the per-roof pipeline (whose private sky pins the
+/// shared one), error records, ranking, and the JSONL codec itself.
 
 #include <gtest/gtest.h>
 
@@ -215,20 +215,6 @@ TEST(CityRunner, TelemetryOnOffAndThreadCountsGiveSameBytes) {
     EXPECT_NE(counters1.find("span.city.roof=9"), std::string::npos)
         << counters1;
 #endif
-}
-
-TEST(CityRunner, SharedSkyEqualsPerRoofRegeneration) {
-    const SmallCity city("run_shared");
-    CityRunOptions options = city.fast_options(city.dir + "/shared.jsonl");
-    (void)run_city(city.tiles, city.registry, options);
-
-    CityRunOptions per_roof = options;
-    per_roof.share_sky = false;
-    per_roof.jsonl_path = city.dir + "/per_roof.jsonl";
-    (void)run_city(city.tiles, city.registry, per_roof);
-
-    EXPECT_EQ(read_file(options.jsonl_path),
-              read_file(per_roof.jsonl_path));
 }
 
 TEST(CityRunner, SharedHorizonIsThreadIdenticalAndDiffersFromCold) {

@@ -300,6 +300,11 @@ TEST(TileCache, LoaderErrorPropagatesToAllWaitersAndIsRetryable) {
             }
         });
     ASSERT_TRUE(gate.await_started("tile_bad", 1));
+    // Fail the decode only once both other threads have joined it (joins
+    // count as hits); a thread arriving after the failure would start a
+    // decode of its own.
+    for (int spin = 0; cache.hits() < 2 && spin < 20000; ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     gate.release("tile_bad");
     for (std::thread& t : threads) t.join();
     EXPECT_EQ(failures.load(), 3);  // owner and every joiner throw

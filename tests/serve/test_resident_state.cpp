@@ -1,7 +1,8 @@
 /// \file test_resident_state.cpp
 /// The daemon's resident hot-state cache: hit/miss identity, byte
 /// accounting and LRU eviction under a memory budget, content-hash
-/// invalidation after an index edit, error paths, and a mixed
+/// invalidation after an index edit, error paths (including a build
+/// failure joined from several threads), and a mixed
 /// prepare/invalidate hammer that the TSan job runs for data races.
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -94,6 +96,44 @@ TEST(ResidentState, UnknownRoofThrowsAndCachesNothing) {
     ResidentState state = city.make_state(city.fast_config());
     EXPECT_THROW(state.prepare("no_such_roof"), InvalidArgument);
     EXPECT_EQ(state.stats().entries, 0u);
+}
+
+TEST(ResidentState, BuildFailureReachesEveryJoinerAndCachesNothing) {
+    const ServeCity city("rs_build_error");
+    // The index's one roof lies off the tile set, so the build itself
+    // fails (an unknown id throws before any build).  The wide footprint
+    // keeps the failing mosaic scan running long enough for every
+    // concurrent caller to join it.
+    const std::string index_path = city.dir + "/off_tiles.csv";
+    std::ofstream(index_path) << "id,min_x,min_y,max_x,max_y\n"
+                              << "roof_off,9000,9000,9400,9400\n";
+    ResidentState state(city.tiles, gis::RoofRegistry::load(index_path),
+                        city.fast_config());
+
+    constexpr int kThreads = 4;
+    std::latch start(kThreads);
+    std::atomic<int> typed_errors{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&] {
+            start.arrive_and_wait();
+            try {
+                (void)state.prepare("roof_off");
+            } catch (const Infeasible&) {
+                typed_errors.fetch_add(1);
+            }
+        });
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(typed_errors.load(), kThreads);
+    const ResidentStats stats = state.stats();
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.misses, 1u);  // one build, three joins
+    EXPECT_EQ(stats.hits, 3u);
+    EXPECT_EQ(stats.sky_artifacts, 0u);  // failed before the sky lookup
+
+    // Nothing was cached: a fifth call builds again.
+    EXPECT_THROW(state.prepare("roof_off"), Infeasible);
+    EXPECT_EQ(state.stats().misses, 2u);
 }
 
 TEST(ResidentState, EvictsPastTheBudgetAndKeepsTheNewestEntry) {

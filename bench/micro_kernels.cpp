@@ -2,10 +2,12 @@
 /// google-benchmark microbenchmarks of the pipeline's hot kernels:
 /// horizon ray-marching (the per-cell oracle vs the batched SIMD
 /// row-march kernels, per dispatch level), per-cell irradiance
-/// sampling, the batched SoA irradiance kernels (scalar and AVX2
-/// dispatch vs the per-cell scalar baseline — the headline of the
-/// batched-kernel PR), per-cell histogram statistics, panel
-/// aggregation, and the summed-area table.
+/// sampling, the batched SoA irradiance kernels (scalar and AVX-512
+/// dispatch vs the per-cell scalar baseline), per-cell histogram
+/// statistics, panel aggregation, and the summed-area table.
+/// Benches take one arg per dispatch level that runs distinct code:
+/// 0/1/2 (scalar/AVX2/AVX-512) for the horizon march, 0/2 for the
+/// irradiance kernels (avx2 runs the scalar ones), none for the sky.
 /// These bound the cost drivers behind the paper's "<120 s" end-to-end
 /// figure.  scripts/collect_bench_kernels.sh appends the
 /// irradiance-kernel records to BENCH_kernels.json for the cross-PR
@@ -208,7 +210,7 @@ void BM_IrradianceRowScalarCells(benchmark::State& state) {
 }
 BENCHMARK(BM_IrradianceRowScalarCells);
 
-/// Batched row kernel at a given dispatch level (0 scalar, 1 AVX2).
+/// Batched row kernel at a given dispatch level (0 scalar, 2 AVX-512).
 void BM_IrradianceRowKernel(benchmark::State& state) {
     if (!apply_simd_arg(state)) return;
     const auto& field = toy_prepared().field;
@@ -226,7 +228,7 @@ void BM_IrradianceRowKernel(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * field.width());
     set_simd_level_auto();
 }
-BENCHMARK(BM_IrradianceRowKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_IrradianceRowKernel)->Arg(0)->Arg(2);
 
 /// Baseline: one cell's full sampled-step series through per-cell
 /// scalar calls — the pre-batching per-anchor series build.
@@ -247,7 +249,7 @@ void BM_IrradianceSeriesScalarCells(benchmark::State& state) {
 }
 BENCHMARK(BM_IrradianceSeriesScalarCells);
 
-/// Batched series kernel at a given dispatch level (0 scalar, 1 AVX2).
+/// Batched series kernel at a given dispatch level (0 scalar, 2 AVX-512).
 void BM_IrradianceSeriesKernel(benchmark::State& state) {
     if (!apply_simd_arg(state)) return;
     const auto& field = toy_prepared().field;
@@ -264,7 +266,7 @@ void BM_IrradianceSeriesKernel(benchmark::State& state) {
                             static_cast<long>(steps.size()));
     set_simd_level_auto();
 }
-BENCHMARK(BM_IrradianceSeriesKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_IrradianceSeriesKernel)->Arg(0)->Arg(2);
 
 /// Footprint-mean anchor series (the IncrementalEvaluator's per-anchor
 /// work) through the batch path, per dispatch level.
@@ -288,7 +290,7 @@ void BM_AnchorSeriesKernel(benchmark::State& state) {
                             prepared.geometry.cell_count());
     set_simd_level_auto();
 }
-BENCHMARK(BM_AnchorSeriesKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_AnchorSeriesKernel)->Arg(0)->Arg(2);
 
 /// All daylight steps of the toy field at stride 1 — the realistic
 /// (≈50% daylight) series workload of the evaluator shards and the
@@ -319,9 +321,6 @@ void BM_DaylightSeriesGather(benchmark::State& state) {
         if (state.range(0) == 2)
             solar::detail::cell_series_avx512(view, x, 1, steps.data(),
                                               steps.size(), out.data());
-        else if (state.range(0) == 1)
-            solar::detail::cell_series_avx2(view, x, 1, steps.data(),
-                                            steps.size(), out.data());
         else
             solar::detail::cell_series_scalar(view, x, 1, steps.data(),
                                               steps.size(), out.data());
@@ -333,7 +332,7 @@ void BM_DaylightSeriesGather(benchmark::State& state) {
                             static_cast<long>(steps.size()));
     set_simd_level_auto();
 }
-BENCHMARK(BM_DaylightSeriesGather)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DaylightSeriesGather)->Arg(0)->Arg(2);
 
 /// The same workload through the public series entry, which detects the
 /// contiguous daylight run and takes the unit-stride packed kernel.
@@ -353,7 +352,7 @@ void BM_DaylightSeriesPacked(benchmark::State& state) {
                             static_cast<long>(steps.size()));
     set_simd_level_auto();
 }
-BENCHMARK(BM_DaylightSeriesPacked)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DaylightSeriesPacked)->Arg(0)->Arg(2);
 
 /// Year of 15-minute weather for the shared-sky prepare benches (the
 /// pvfp_serve cold-start workload shape).
@@ -386,10 +385,9 @@ void BM_SharedSkyPrepareReference(benchmark::State& state) {
 }
 BENCHMARK(BM_SharedSkyPrepareReference);
 
-/// Batched prepare (per-day ephemeris hoisting + SIMD geometry and
-/// transposition kernels) at a given dispatch level.
+/// Batched prepare (per-day ephemeris hoisting + elementwise geometry
+/// and transposition passes; the same scalar code at every level).
 void BM_SharedSkyPrepare(benchmark::State& state) {
-    if (!apply_simd_arg(state)) return;
     const TimeGrid grid(15, 1, 365);
     const auto env = sky_bench_env(grid);
     const solar::Location location;
@@ -399,9 +397,8 @@ void BM_SharedSkyPrepare(benchmark::State& state) {
         benchmark::DoNotOptimize(sky.beam_eq.data());
     }
     state.SetItemsProcessed(state.iterations() * grid.total_steps());
-    set_simd_level_auto();
 }
-BENCHMARK(BM_SharedSkyPrepare)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SharedSkyPrepare);
 
 /// A cadastral-scale footprint: a 10^4-vertex star-ribbon ring around
 /// the window center (radii alternating, so rows cross many edges).

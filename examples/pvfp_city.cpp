@@ -49,6 +49,7 @@
 #include "pvfp/obs/trace.hpp"
 #include "pvfp/util/cli.hpp"
 #include "pvfp/util/error.hpp"
+#include "pvfp/util/simd.hpp"
 
 namespace {
 
@@ -150,6 +151,9 @@ int main(int argc, char** argv) {
     }
 
     try {
+        // Resolve the kernel level before any input is read, so a bad
+        // PVFP_SIMD exits here with its typed message (util/simd.hpp).
+        (void)simd_level();
         if (!fixture_dir.empty()) {
             gis::CityFixtureOptions options;
             options.roofs = fixture_roofs;

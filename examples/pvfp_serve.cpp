@@ -53,6 +53,7 @@
 #include "pvfp/serve/server.hpp"
 #include "pvfp/util/cli.hpp"
 #include "pvfp/util/error.hpp"
+#include "pvfp/util/simd.hpp"
 
 namespace {
 
@@ -150,6 +151,9 @@ int main(int argc, char** argv) {
         usage_error("--tiles and --index are required");
 
     try {
+        // Resolve the kernel level before any input is read, so a bad
+        // PVFP_SIMD exits here with its typed message (util/simd.hpp).
+        (void)simd_level();
         // Telemetry switches before any request is served; response
         // bytes are identical either way (the replay gate).
         if (!metrics_out.empty() || !trace_out.empty())

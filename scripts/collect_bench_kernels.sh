@@ -63,24 +63,18 @@ print(f"appended {len(by_name)} records at {commit} -> {out_path}")
 for base, kernel, label in [
     ("BM_IrradianceRowScalarCells", "BM_IrradianceRowKernel/0",
      "row kernel (scalar batch) vs per-cell scalar"),
-    ("BM_IrradianceRowScalarCells", "BM_IrradianceRowKernel/1",
-     "row kernel (avx2) vs per-cell scalar"),
     ("BM_IrradianceRowScalarCells", "BM_IrradianceRowKernel/2",
      "row kernel (avx512) vs per-cell scalar"),
     ("BM_IrradianceSeriesScalarCells", "BM_IrradianceSeriesKernel/0",
      "series kernel (scalar batch) vs per-cell scalar"),
-    ("BM_IrradianceSeriesScalarCells", "BM_IrradianceSeriesKernel/1",
-     "series kernel (avx2) vs per-cell scalar"),
     ("BM_IrradianceSeriesScalarCells", "BM_IrradianceSeriesKernel/2",
      "series kernel (avx512) vs per-cell scalar"),
-    ("BM_DaylightSeriesGather/1", "BM_DaylightSeriesPacked/1",
-     "daylight series packed-vs-gather (avx2)"),
+    ("BM_DaylightSeriesGather/0", "BM_DaylightSeriesPacked/0",
+     "daylight series packed-vs-gather (scalar)"),
     ("BM_DaylightSeriesGather/2", "BM_DaylightSeriesPacked/2",
      "daylight series packed-vs-gather (avx512)"),
-    ("BM_SharedSkyPrepareReference", "BM_SharedSkyPrepare/1",
-     "shared-sky prepare batched-vs-reference (avx2)"),
-    ("BM_SharedSkyPrepareReference", "BM_SharedSkyPrepare/2",
-     "shared-sky prepare batched-vs-reference (avx512)"),
+    ("BM_SharedSkyPrepareReference", "BM_SharedSkyPrepare",
+     "shared-sky prepare batched-vs-reference"),
     ("BM_FootprintMaskPerCell/10000", "BM_FootprintMaskScanline/10000",
      "footprint mask scanline-vs-per-cell (10^4 vertices)"),
     ("BM_HorizonMapReference", "BM_HorizonMapBatched/0",

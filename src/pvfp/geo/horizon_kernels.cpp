@@ -118,12 +118,10 @@ void horizon_row_batched(const Raster& dsm, int x0, int y, int win_w,
     std::vector<std::size_t> row1(sched.steps);
     std::vector<double> ty(sched.steps);
 
-    void (*kernel)(const detail::HorizonRowArgs&) = &detail::march_row_scalar;
-    switch (simd_level()) {
-        case SimdLevel::Avx512: kernel = &detail::march_row_avx512; break;
-        case SimdLevel::Avx2: kernel = &detail::march_row_avx2; break;
-        case SimdLevel::Scalar: break;
-    }
+    // One twin for every vector level: avx512 implies avx2 (simd.hpp).
+    void (*kernel)(const detail::HorizonRowArgs&) =
+        simd_level() == SimdLevel::Scalar ? &detail::march_row_scalar
+                                          : &detail::march_row_avx2;
 
     const int hm1 = gh - 1;
     const double hm1_d = static_cast<double>(hm1);

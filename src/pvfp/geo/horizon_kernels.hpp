@@ -21,11 +21,13 @@
 ///     (a 1e-9 relative guard band keeps every step that could win under
 ///     rounding) — O(log steps) libm calls per (cell, sector) instead of
 ///     O(steps);
-///   * AVX2/AVX-512 twins vectorize the per-lane work across window
-///     cells (runtime dispatch via util/simd, same contract as the
-///     irradiance kernels).
+///   * one AVX2 twin vectorizes the per-lane work across window cells;
+///     the avx2 *and* avx512 levels run it (runtime dispatch via
+///     util/simd).  No AVX-512 twin: on the benchmark city run one
+///     took 725–747 ms for the march, the AVX2 twin 642–759 ms (scalar
+///     ≈1045 ms), so wider lanes do not pay.
 ///
-/// Bitwise contract: every level — scalar batched, AVX2, AVX-512 —
+/// Bitwise contract: every level — scalar batched or the AVX2 twin —
 /// produces horizon angles bitwise-identical to the retained per-cell
 /// oracle (horizon_map_reference), because each step's lx/ly/bilinear/
 /// atan2 arithmetic is the exact scalar operation sequence (mul+add,
@@ -95,13 +97,11 @@ struct HorizonRowArgs {
 
 void march_row_scalar(const HorizonRowArgs& a);
 void march_row_avx2(const HorizonRowArgs& a);
-void march_row_avx512(const HorizonRowArgs& a);
 
-/// True when the translation unit carrying the AVX2/AVX-512 twin was
-/// compiled with real intrinsics (x86-64 + GCC/Clang); otherwise the twin
-/// is a stub that delegates to the scalar kernel.
+/// True when the translation unit carrying the AVX2 twin was compiled
+/// with real intrinsics (x86-64 + GCC/Clang); otherwise the twin is a
+/// stub that delegates to the scalar kernel.
 bool horizon_avx2_compiled();
-bool horizon_avx512_compiled();
 
 }  // namespace detail
 

@@ -1,8 +1,9 @@
 /// \file horizon_kernels_avx2.cpp
-/// Hand-written AVX2 twin of the batched horizon row marcher.  Compiled
-/// with a per-function target("avx2") attribute so the library binary
-/// stays portable; only ever called after runtime dispatch (util/simd)
-/// has confirmed CPU support.
+/// Hand-written AVX2 twin of the batched horizon row marcher — the only
+/// intrinsics twin of the march, run at both the avx2 and the avx512
+/// level.  Compiled with a per-function target("avx2") attribute so the
+/// library binary stays portable; only ever called after runtime
+/// dispatch (util/simd) has confirmed CPU support.
 ///
 /// Bitwise contract: four window cells march in double lanes with the
 /// exact scalar operation sequence — the add for lx, the divide/clamp/

@@ -262,11 +262,9 @@ void IrradianceField::cell_irradiance_row(int y, long s, int x0, int x1,
               "IrradianceField: row span out of range");
     if (x0 == x1) return;
     const detail::FieldView v = view();
-    const SimdLevel lvl = simd_level();
-    if (lvl == SimdLevel::Avx512 && detail::avx512_kernels_compiled())
+    if (simd_level() == SimdLevel::Avx512 &&
+        detail::avx512_kernels_compiled())
         detail::cell_row_avx512(v, y, s, x0, x1, out);
-    else if (lvl != SimdLevel::Scalar && detail::avx2_kernels_compiled())
-        detail::cell_row_avx2(v, y, s, x0, x1, out);
     else
         detail::cell_row_scalar(v, y, s, x0, x1, out);
 }
@@ -312,12 +310,10 @@ void IrradianceField::cell_irradiance_series_unchecked(
         }
     }
     const detail::FieldView v = view();
-    const SimdLevel lvl = simd_level();
-    if (lvl == SimdLevel::Avx512 && detail::avx512_kernels_compiled())
+    if (simd_level() == SimdLevel::Avx512 &&
+        detail::avx512_kernels_compiled())
         detail::cell_series_avx512(v, x, y, steps.data(), steps.size(),
                                    out);
-    else if (lvl != SimdLevel::Scalar && detail::avx2_kernels_compiled())
-        detail::cell_series_avx2(v, x, y, steps.data(), steps.size(), out);
     else
         detail::cell_series_scalar(v, x, y, steps.data(), steps.size(),
                                    out);
@@ -339,11 +335,9 @@ void IrradianceField::cell_irradiance_packed_unchecked(int x, int y,
     assert(p0 >= 0 && p0 <= p1 && p1 <= packed_steps());
     if (p0 == p1) return;
     const detail::FieldView v = view();
-    const SimdLevel lvl = simd_level();
-    if (lvl == SimdLevel::Avx512 && detail::avx512_kernels_compiled())
+    if (simd_level() == SimdLevel::Avx512 &&
+        detail::avx512_kernels_compiled())
         detail::cell_packed_avx512(v, x, y, p0, p1, out);
-    else if (lvl != SimdLevel::Scalar && detail::avx2_kernels_compiled())
-        detail::cell_packed_avx2(v, x, y, p0, p1, out);
     else
         detail::cell_packed_scalar(v, x, y, p0, p1, out);
 }

@@ -63,7 +63,7 @@ struct FieldConfig {
 namespace detail {
 
 /// Raw pointer view of the field's SoA planes, consumed by the scalar
-/// and AVX2 batch kernels (irradiance_kernels.hpp).  Pointers stay valid
+/// and AVX-512 batch kernels (irradiance_kernels.hpp).  Pointers stay valid
 /// for the lifetime of the owning IrradianceField.
 struct FieldView {
     // Step-indexed planes (one entry per time step).

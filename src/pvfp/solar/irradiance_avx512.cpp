@@ -4,21 +4,20 @@
 /// portable; runtime dispatch (util/simd.hpp) only routes here after
 /// cpu_supports_avx512() has confirmed both subsets.
 ///
-/// Two wins over the AVX2 tier: 8 double lanes per iteration instead
-/// of 4, and masked loads/stores on the final partial vector, so there
-/// is *no scalar tail loop* — short spans (the 1-31-step evaluator
-/// shard remainders, narrow footprint rows) run entirely in vector
-/// code.
+/// Eight double lanes per iteration, and masked loads/stores on the
+/// final partial vector, so there is *no scalar tail loop* — short
+/// spans (the 1-31-step evaluator shard remainders, narrow footprint
+/// rows) run entirely in vector code.  This is the only intrinsics twin
+/// of the irradiance kernels; the avx2 level runs the scalar loops.
 ///
-/// Bitwise contract, as in irradiance_avx2.cpp: elementwise mul/add/sub
-/// only — never FMA — in exactly the scalar kernels' association.  The
-/// masked beam term uses _mm512_maskz_mul_pd (a +0.0 in dark lanes),
-/// which matches the scalar `? : 0.0` because the base term is always
-/// >= +0.0, so base + (+0.0) is a bitwise no-op.  Per-cell-normal cosi
-/// stays in float lanes and widens after; uniform-plane cosi runs in
-/// double lanes.  Masked-off gather lanes use index 0 (never read);
-/// masked-off load lanes read as 0.0 and their results are never
-/// stored.
+/// Bitwise contract: elementwise mul/add/sub only — never FMA — in
+/// exactly the scalar kernels' association.  The masked beam term uses
+/// _mm512_maskz_mul_pd (a +0.0 in dark lanes), which matches the scalar
+/// `? : 0.0` because the base term is always >= +0.0, so base + (+0.0)
+/// is a bitwise no-op.  Per-cell-normal cosi stays in float lanes and
+/// widens after; uniform-plane cosi runs in double lanes.  Masked-off
+/// gather lanes use index 0 (never read); masked-off load lanes read as
+/// 0.0 and their results are never stored.
 
 #include "pvfp/solar/irradiance_kernels.hpp"
 

@@ -2,7 +2,7 @@
 /// \file irradiance_kernels.hpp
 /// Internal batched irradiance kernels over a FieldView (SoA planes).
 ///
-/// Three shapes, up to three implementations each:
+/// Three shapes, each a scalar kernel plus one AVX-512 twin:
 ///  - row kernel:    fixed step, contiguous span of cells in one row;
 ///  - series kernel: fixed cell, arbitrary span of steps (gathers);
 ///  - packed kernel: fixed cell, contiguous run of *daylight-packed*
@@ -11,15 +11,19 @@
 ///
 /// The scalar implementations are branch-free inner loops (horizon lerp
 /// + compare instead of is_shaded branching, masked beam term) written
-/// so GCC/Clang auto-vectorize them; the AVX2 and AVX-512 paths are
-/// hand-written intrinsics selected at runtime (util/simd.hpp), the
-/// AVX-512 ones using masked loads/stores so no scalar tail loop
-/// remains.  All compute the *same IEEE operations in the same
-/// association* as IrradianceField::cell_irradiance_unchecked — no FMA
-/// (the build sets -ffp-contract=off), no reassociation — so every
-/// implementation is bitwise-identical per cell.
-/// tests/solar/test_batched_kernels pins this property across roofs,
-/// sky models, normals on/off, and SIMD levels.
+/// so GCC/Clang auto-vectorize them; they run at the scalar and avx2
+/// levels.  The avx512 level runs the hand-written AVX-512 twins
+/// (irradiance_avx512.cpp), whose masked loads/stores leave no scalar
+/// tail loop.  They pay end to end: on the repository benchmark
+/// `serve_churn` ran at 27.8 rps at avx512 against 24.3 rps at avx2,
+/// and the city run's suitability stage took ≈3.1 s against ≈3.5–4.3 s.
+/// An AVX2 twin showed no such gain, so the avx2 level has none
+/// (util/simd.hpp).  All compute the *same IEEE operations in the same association* as
+/// IrradianceField::cell_irradiance_unchecked — no FMA (the build sets
+/// -ffp-contract=off), no reassociation — so every implementation is
+/// bitwise-identical per cell.  tests/solar/test_batched_kernels pins
+/// this property across roofs, sky models, normals on/off, and SIMD
+/// levels.
 ///
 /// Preconditions (debug-asserted by the callers, validated at the
 /// IrradianceField boundary): row/cell inside the window, steps in
@@ -45,23 +49,11 @@ void cell_series_scalar(const FieldView& f, int x, int y, const long* steps,
 void cell_packed_scalar(const FieldView& f, int x, int y, long p0, long p1,
                         double* out);
 
-/// True when this build carries the AVX2 kernels (x86-64 compilers);
-/// callers must additionally check pvfp::cpu_supports_avx2() / the
-/// dispatch level before calling them.
-bool avx2_kernels_compiled();
-
-/// Same gate for the AVX-512 kernels (needs avx512f + avx512vl at run
-/// time, checked by pvfp::cpu_supports_avx512()).
+/// True when this build carries the AVX-512 kernels (x86-64 compilers);
+/// callers must additionally check the dispatch level (which requires
+/// avx512f + avx512vl at run time, pvfp::cpu_supports_avx512()) before
+/// calling them.
 bool avx512_kernels_compiled();
-
-/// AVX2 twins of the scalar kernels; fall back to the scalar kernels on
-/// builds where avx2_kernels_compiled() is false.
-void cell_row_avx2(const FieldView& f, int y, long s, int x0, int x1,
-                   double* out);
-void cell_series_avx2(const FieldView& f, int x, int y, const long* steps,
-                      std::size_t n, double* out);
-void cell_packed_avx2(const FieldView& f, int x, int y, long p0, long p1,
-                      double* out);
 
 /// AVX-512 twins (masked tails — no scalar remainder loop); fall back
 /// to the scalar kernels on builds where avx512_kernels_compiled() is

@@ -79,11 +79,10 @@ SharedSkyArtifact prepare_sky_artifact(const Location& location,
     }
 
     // The per-step sweep splits into four passes per chunk: scalar libm
-    // trig of the hour angle, the SIMD geometry kernel, scalar libm
-    // angles + sun vector, and the SIMD transposition kernel.  Each step
-    // writes only its own slots, so the fixed chunk grid keeps the
-    // result bitwise-identical at any thread count — and the kernels
-    // keep it bitwise-identical at any SIMD level.
+    // trig of the hour angle, the elementwise geometry kernel, scalar
+    // libm angles + sun vector, and the elementwise transposition
+    // kernel.  Each step writes only its own slots, so the fixed chunk
+    // grid keeps the result bitwise-identical at any thread count.
     parallel_for(0, grid.total_steps(), 512, [&](long sb, long se) {
         const std::size_t cn = static_cast<std::size_t>(se - sb);
         std::vector<double> cos_h(cn);

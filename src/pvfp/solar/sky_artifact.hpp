@@ -76,9 +76,8 @@ struct SharedSkyArtifact {
 /// deterministic parallel substrate (fixed chunks — same bits at any
 /// thread count).  The sweep is batched: per-day ephemeris constants are
 /// hoisted (association preserved) and the elementwise geometry /
-/// transposition passes run through runtime-dispatched SIMD kernels
-/// (sky_kernels.hpp), bitwise-identical to the reference below at every
-/// SIMD level.
+/// transposition passes run as separate loops (sky_kernels.hpp),
+/// bitwise-identical to the reference below.
 SharedSkyArtifact prepare_sky_artifact(const Location& location,
                                        const pvfp::TimeGrid& grid,
                                        std::vector<EnvSample> env,

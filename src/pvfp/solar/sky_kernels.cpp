@@ -1,34 +1,17 @@
 /// \file sky_kernels.cpp
-/// Elementwise kernels of the batched sky precompute: scalar reference
-/// loops plus hand-written AVX2/AVX-512 twins (per-function target
-/// attributes — the binary stays portable; runtime dispatch only
-/// routes to a twin after CPU detection).  See sky_kernels.hpp for the
-/// bitwise contract; the mask algebra below leans on the operands
-/// being non-negative (validated env, clamped a, guarded divisor), so
-/// an AND against a full compare mask or a masked add of +0.0
-/// reproduces the scalar branches bit for bit.
+/// Elementwise kernels of the batched sky precompute: plain scalar
+/// loops, run at every SIMD level.  See sky_kernels.hpp for the bitwise
+/// contract.
 
 #include "pvfp/solar/sky_kernels.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "pvfp/solar/irradiance_kernels.hpp"
-#include "pvfp/util/simd.hpp"
-
-#if (defined(__x86_64__) || defined(__amd64__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define PVFP_SKY_SIMD 1
-#include <immintrin.h>
-#else
-#define PVFP_SKY_SIMD 0
-#endif
 
 namespace pvfp::solar::detail {
 
-void sky_geometry_scalar(const double* cos_h, const double* sin_h,
-                         std::size_t n, const DayGeometry& day,
-                         double* up_clamped, double* north, double* east) {
+void sky_geometry(const double* cos_h, const double* sin_h, std::size_t n,
+                  const DayGeometry& day, double* up_clamped, double* north,
+                  double* east) {
     for (std::size_t i = 0; i < n; ++i) {
         const double up = day.a + day.b * cos_h[i];
         up_clamped[i] = std::clamp(up, -1.0, 1.0);
@@ -37,11 +20,11 @@ void sky_geometry_scalar(const double* cos_h, const double* sin_h,
     }
 }
 
-void sky_transposition_scalar(const double* ghi, const double* dni,
-                              const double* dhi, const double* sin_el,
-                              const std::uint8_t* daylight, std::size_t n,
-                              double eo, bool hay, double* beam_eq,
-                              double* dhi_iso) {
+void sky_transposition(const double* ghi, const double* dni,
+                       const double* dhi, const double* sin_el,
+                       const std::uint8_t* daylight, std::size_t n,
+                       double eo, bool hay, double* beam_eq,
+                       double* dhi_iso) {
     for (std::size_t i = 0; i < n; ++i) {
         if (!(ghi[i] > 0.0 || dhi[i] > 0.0)) {
             beam_eq[i] = 0.0;
@@ -63,236 +46,5 @@ void sky_transposition_scalar(const double* ghi, const double* dni,
             hay ? dhi[i] * (1.0 - (daylight[i] != 0 ? a : 0.0)) : dhi[i];
     }
 }
-
-void sky_geometry(const double* cos_h, const double* sin_h, std::size_t n,
-                  const DayGeometry& day, double* up_clamped, double* north,
-                  double* east) {
-    const SimdLevel lvl = simd_level();
-    if (lvl == SimdLevel::Avx512 && avx512_kernels_compiled())
-        sky_geometry_avx512(cos_h, sin_h, n, day, up_clamped, north, east);
-    else if (lvl != SimdLevel::Scalar && avx2_kernels_compiled())
-        sky_geometry_avx2(cos_h, sin_h, n, day, up_clamped, north, east);
-    else
-        sky_geometry_scalar(cos_h, sin_h, n, day, up_clamped, north, east);
-}
-
-void sky_transposition(const double* ghi, const double* dni,
-                       const double* dhi, const double* sin_el,
-                       const std::uint8_t* daylight, std::size_t n,
-                       double eo, bool hay, double* beam_eq,
-                       double* dhi_iso) {
-    const SimdLevel lvl = simd_level();
-    if (lvl == SimdLevel::Avx512 && avx512_kernels_compiled())
-        sky_transposition_avx512(ghi, dni, dhi, sin_el, daylight, n, eo,
-                                 hay, beam_eq, dhi_iso);
-    else if (lvl != SimdLevel::Scalar && avx2_kernels_compiled())
-        sky_transposition_avx2(ghi, dni, dhi, sin_el, daylight, n, eo, hay,
-                               beam_eq, dhi_iso);
-    else
-        sky_transposition_scalar(ghi, dni, dhi, sin_el, daylight, n, eo,
-                                 hay, beam_eq, dhi_iso);
-}
-
-#if PVFP_SKY_SIMD
-
-__attribute__((target("avx2"))) void sky_geometry_avx2(
-    const double* cos_h, const double* sin_h, std::size_t n,
-    const DayGeometry& day, double* up_clamped, double* north,
-    double* east) {
-    const __m256d a_v = _mm256_set1_pd(day.a);
-    const __m256d b_v = _mm256_set1_pd(day.b);
-    const __m256d c_v = _mm256_set1_pd(day.c);
-    const __m256d d_v = _mm256_set1_pd(day.d);
-    const __m256d ncd_v = _mm256_set1_pd(day.neg_cos_delta);
-    const __m256d lo = _mm256_set1_pd(-1.0);
-    const __m256d hi = _mm256_set1_pd(1.0);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d ch = _mm256_loadu_pd(cos_h + i);
-        const __m256d sh = _mm256_loadu_pd(sin_h + i);
-        const __m256d up = _mm256_add_pd(a_v, _mm256_mul_pd(b_v, ch));
-        _mm256_storeu_pd(up_clamped + i,
-                         _mm256_min_pd(_mm256_max_pd(up, lo), hi));
-        _mm256_storeu_pd(north + i,
-                         _mm256_sub_pd(c_v, _mm256_mul_pd(d_v, ch)));
-        _mm256_storeu_pd(east + i, _mm256_mul_pd(ncd_v, sh));
-    }
-    if (i < n)
-        sky_geometry_scalar(cos_h + i, sin_h + i, n - i, day,
-                            up_clamped + i, north + i, east + i);
-}
-
-__attribute__((target("avx2"))) void sky_transposition_avx2(
-    const double* ghi, const double* dni, const double* dhi,
-    const double* sin_el, const std::uint8_t* daylight, std::size_t n,
-    double eo, bool hay, double* beam_eq, double* dhi_iso) {
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d one = _mm256_set1_pd(1.0);
-    const __m256d eo_v = _mm256_set1_pd(eo);
-    const __m256d guard_floor = _mm256_set1_pd(0.01745);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d ghi_v = _mm256_loadu_pd(ghi + i);
-        const __m256d dni_v = _mm256_loadu_pd(dni + i);
-        const __m256d dhi_v = _mm256_loadu_pd(dhi + i);
-        const __m256d m_in =
-            _mm256_or_pd(_mm256_cmp_pd(ghi_v, zero, _CMP_GT_OQ),
-                         _mm256_cmp_pd(dhi_v, zero, _CMP_GT_OQ));
-        const __m256d m_day = _mm256_castsi256_pd(_mm256_setr_epi64x(
-            daylight[i] != 0 ? -1 : 0, daylight[i + 1] != 0 ? -1 : 0,
-            daylight[i + 2] != 0 ? -1 : 0, daylight[i + 3] != 0 ? -1 : 0));
-
-        __m256d be;
-        __m256d iso;
-        if (hay) {
-            const __m256d a = _mm256_min_pd(
-                _mm256_max_pd(_mm256_div_pd(dni_v, eo_v), zero), one);
-            const __m256d guard =
-                _mm256_max_pd(_mm256_loadu_pd(sin_el + i), guard_floor);
-            const __m256d circ =
-                _mm256_div_pd(_mm256_mul_pd(dhi_v, a), guard);
-            const __m256d m_dhi = _mm256_cmp_pd(dhi_v, zero, _CMP_GT_OQ);
-            // dni + masked +0.0 when dhi is off: bitwise no-op for the
-            // non-negative dni, matching the scalar skipped `+=`.
-            be = _mm256_add_pd(dni_v, _mm256_and_pd(m_dhi, circ));
-            const __m256d a_day = _mm256_and_pd(m_day, a);
-            iso = _mm256_mul_pd(dhi_v, _mm256_sub_pd(one, a_day));
-        } else {
-            be = dni_v;
-            iso = dhi_v;
-        }
-        be = _mm256_and_pd(_mm256_and_pd(m_day, m_in), be);
-        iso = _mm256_and_pd(m_in, iso);
-        _mm256_storeu_pd(beam_eq + i, be);
-        _mm256_storeu_pd(dhi_iso + i, iso);
-    }
-    if (i < n)
-        sky_transposition_scalar(ghi + i, dni + i, dhi + i, sin_el + i,
-                                 daylight + i, n - i, eo, hay, beam_eq + i,
-                                 dhi_iso + i);
-}
-
-namespace {
-
-/// Mask with the low min(rem, 8) bits set.
-inline __mmask8 sky_tail_mask(std::size_t rem) {
-    return rem >= 8 ? static_cast<__mmask8>(0xFF)
-                    : static_cast<__mmask8>((1u << rem) - 1u);
-}
-
-/// Daylight flag bytes to a lane mask (byte loads stay scalar: the
-/// kernels only gate on avx512f+vl, not the BW subset masked byte
-/// loads would need).
-inline __mmask8 daylight_mask(const std::uint8_t* daylight,
-                              std::size_t rem) {
-    unsigned m = 0;
-    const std::size_t take = rem < 8 ? rem : 8;
-    for (std::size_t j = 0; j < take; ++j)
-        if (daylight[j] != 0) m |= 1u << j;
-    return static_cast<__mmask8>(m);
-}
-
-}  // namespace
-
-__attribute__((target("avx512f,avx512vl"))) void sky_geometry_avx512(
-    const double* cos_h, const double* sin_h, std::size_t n,
-    const DayGeometry& day, double* up_clamped, double* north,
-    double* east) {
-    const __m512d a_v = _mm512_set1_pd(day.a);
-    const __m512d b_v = _mm512_set1_pd(day.b);
-    const __m512d c_v = _mm512_set1_pd(day.c);
-    const __m512d d_v = _mm512_set1_pd(day.d);
-    const __m512d ncd_v = _mm512_set1_pd(day.neg_cos_delta);
-    const __m512d lo = _mm512_set1_pd(-1.0);
-    const __m512d hi = _mm512_set1_pd(1.0);
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __mmask8 m = sky_tail_mask(n - i);
-        const __m512d ch = _mm512_maskz_loadu_pd(m, cos_h + i);
-        const __m512d sh = _mm512_maskz_loadu_pd(m, sin_h + i);
-        const __m512d up = _mm512_add_pd(a_v, _mm512_mul_pd(b_v, ch));
-        _mm512_mask_storeu_pd(up_clamped + i, m,
-                              _mm512_min_pd(_mm512_max_pd(up, lo), hi));
-        _mm512_mask_storeu_pd(
-            north + i, m, _mm512_sub_pd(c_v, _mm512_mul_pd(d_v, ch)));
-        _mm512_mask_storeu_pd(east + i, m, _mm512_mul_pd(ncd_v, sh));
-    }
-}
-
-__attribute__((target("avx512f,avx512vl"))) void sky_transposition_avx512(
-    const double* ghi, const double* dni, const double* dhi,
-    const double* sin_el, const std::uint8_t* daylight, std::size_t n,
-    double eo, bool hay, double* beam_eq, double* dhi_iso) {
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d one = _mm512_set1_pd(1.0);
-    const __m512d eo_v = _mm512_set1_pd(eo);
-    const __m512d guard_floor = _mm512_set1_pd(0.01745);
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __mmask8 m = sky_tail_mask(n - i);
-        const __m512d ghi_v = _mm512_maskz_loadu_pd(m, ghi + i);
-        const __m512d dni_v = _mm512_maskz_loadu_pd(m, dni + i);
-        const __m512d dhi_v = _mm512_maskz_loadu_pd(m, dhi + i);
-        const __mmask8 m_in = static_cast<__mmask8>(
-            _mm512_cmp_pd_mask(ghi_v, zero, _CMP_GT_OQ) |
-            _mm512_cmp_pd_mask(dhi_v, zero, _CMP_GT_OQ));
-        const __mmask8 m_day = daylight_mask(daylight + i, n - i);
-
-        __m512d be;
-        __m512d iso;
-        if (hay) {
-            const __m512d a = _mm512_min_pd(
-                _mm512_max_pd(_mm512_div_pd(dni_v, eo_v), zero), one);
-            const __m512d guard = _mm512_max_pd(
-                _mm512_maskz_loadu_pd(m, sin_el + i), guard_floor);
-            const __m512d circ =
-                _mm512_div_pd(_mm512_mul_pd(dhi_v, a), guard);
-            const __mmask8 m_dhi =
-                _mm512_cmp_pd_mask(dhi_v, zero, _CMP_GT_OQ);
-            be = _mm512_mask_add_pd(dni_v, m_dhi, dni_v, circ);
-            const __m512d a_day = _mm512_maskz_mov_pd(m_day, a);
-            iso = _mm512_mul_pd(dhi_v, _mm512_sub_pd(one, a_day));
-        } else {
-            be = dni_v;
-            iso = dhi_v;
-        }
-        be = _mm512_maskz_mov_pd(static_cast<__mmask8>(m_day & m_in), be);
-        iso = _mm512_maskz_mov_pd(m_in, iso);
-        _mm512_mask_storeu_pd(beam_eq + i, m, be);
-        _mm512_mask_storeu_pd(dhi_iso + i, m, iso);
-    }
-}
-
-#else  // !PVFP_SKY_SIMD
-
-void sky_geometry_avx2(const double* cos_h, const double* sin_h,
-                       std::size_t n, const DayGeometry& day,
-                       double* up_clamped, double* north, double* east) {
-    sky_geometry_scalar(cos_h, sin_h, n, day, up_clamped, north, east);
-}
-
-void sky_geometry_avx512(const double* cos_h, const double* sin_h,
-                         std::size_t n, const DayGeometry& day,
-                         double* up_clamped, double* north, double* east) {
-    sky_geometry_scalar(cos_h, sin_h, n, day, up_clamped, north, east);
-}
-
-void sky_transposition_avx2(const double* ghi, const double* dni,
-                            const double* dhi, const double* sin_el,
-                            const std::uint8_t* daylight, std::size_t n,
-                            double eo, bool hay, double* beam_eq,
-                            double* dhi_iso) {
-    sky_transposition_scalar(ghi, dni, dhi, sin_el, daylight, n, eo, hay,
-                             beam_eq, dhi_iso);
-}
-
-void sky_transposition_avx512(const double* ghi, const double* dni,
-                              const double* dhi, const double* sin_el,
-                              const std::uint8_t* daylight, std::size_t n,
-                              double eo, bool hay, double* beam_eq,
-                              double* dhi_iso) {
-    sky_transposition_scalar(ghi, dni, dhi, sin_el, daylight, n, eo, hay,
-                             beam_eq, dhi_iso);
-}
-
-#endif  // PVFP_SKY_SIMD
 
 }  // namespace pvfp::solar::detail

@@ -6,22 +6,25 @@
 /// The per-step sky prepare splits into scalar-libm passes (the
 /// trigonometry: hour-angle cos/sin, asin/atan2 of the sun vector —
 /// libm is not vectorizable under the bitwise contract) and two pure
-/// elementwise passes that are, implemented here with scalar/AVX2/
-/// AVX-512 twins dispatched at runtime like the irradiance kernels:
+/// elementwise passes over same-day step runs, implemented here:
 ///
 ///  - the *geometry* pass: sun-vector components from the per-day
 ///    ephemeris constants and the per-step hour-angle cos/sin;
 ///  - the *transposition* pass: normal-equivalent beam magnitude and
 ///    isotropic diffuse share from the env series.
 ///
-/// Bitwise contract: every twin computes the same IEEE operations in
-/// the same association as prepare_sky_artifact_reference's inline
-/// expressions (no FMA — the build sets -ffp-contract=off), and the
-/// branch structure is replicated with masks whose selected values
-/// match the scalar branches exactly, so the artifact is
-/// bitwise-identical at every SIMD level.
-/// tests/solar/test_sky_artifact pins this against the reference
-/// implementation across latitudes and sky models.
+/// Both are plain scalar loops at every SIMD level.  The sky is
+/// prepared once per site: `solar.sky_ms` measured 22–32 ms of the
+/// multi-second benchmark city run at scalar, AVX2 and AVX-512 alike,
+/// so no intrinsics twin earns its place (util/simd.hpp states the
+/// one-twin rule).  A wider -march build lets the compiler
+/// auto-vectorize them.
+///
+/// Bitwise contract: both compute the same IEEE operations in the same
+/// association as prepare_sky_artifact_reference's inline expressions
+/// (no FMA — the build sets -ffp-contract=off), so the artifact is
+/// bitwise-identical to the reference.  tests/solar/test_sky_artifact
+/// pins this across latitudes, sky models, and SIMD levels.
 
 #include <cstddef>
 #include <cstdint>
@@ -48,16 +51,6 @@ struct DayGeometry {
 /// hour-angle cos/sin, produce the sun vector's up component clamped
 /// to [-1, 1] (ready for asin), and the unnormalized north/east
 /// components (ready for atan2).
-void sky_geometry_scalar(const double* cos_h, const double* sin_h,
-                         std::size_t n, const DayGeometry& day,
-                         double* up_clamped, double* north, double* east);
-void sky_geometry_avx2(const double* cos_h, const double* sin_h,
-                       std::size_t n, const DayGeometry& day,
-                       double* up_clamped, double* north, double* east);
-void sky_geometry_avx512(const double* cos_h, const double* sin_h,
-                         std::size_t n, const DayGeometry& day,
-                         double* up_clamped, double* north, double* east);
-/// Runtime-dispatched entry (pvfp::simd_level()).
 void sky_geometry(const double* cos_h, const double* sin_h, std::size_t n,
                   const DayGeometry& day, double* up_clamped, double* north,
                   double* east);
@@ -71,22 +64,6 @@ void sky_geometry(const double* cos_h, const double* sin_h, std::size_t n,
 ///   dhi_iso = hay ? dhi * (1 - (daylight ? a : 0)) : dhi
 /// with \p eo the day's extraterrestrial normal irradiance and
 /// \p daylight the per-step flag bytes.
-void sky_transposition_scalar(const double* ghi, const double* dni,
-                              const double* dhi, const double* sin_el,
-                              const std::uint8_t* daylight, std::size_t n,
-                              double eo, bool hay, double* beam_eq,
-                              double* dhi_iso);
-void sky_transposition_avx2(const double* ghi, const double* dni,
-                            const double* dhi, const double* sin_el,
-                            const std::uint8_t* daylight, std::size_t n,
-                            double eo, bool hay, double* beam_eq,
-                            double* dhi_iso);
-void sky_transposition_avx512(const double* ghi, const double* dni,
-                              const double* dhi, const double* sin_el,
-                              const std::uint8_t* daylight, std::size_t n,
-                              double eo, bool hay, double* beam_eq,
-                              double* dhi_iso);
-/// Runtime-dispatched entry (pvfp::simd_level()).
 void sky_transposition(const double* ghi, const double* dni,
                        const double* dhi, const double* sin_el,
                        const std::uint8_t* daylight, std::size_t n,

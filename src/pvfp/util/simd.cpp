@@ -20,8 +20,10 @@ bool detect_avx2() {
 
 bool detect_avx512() {
 #if defined(__x86_64__) || defined(__amd64__) || defined(__i386__)
+    // The avx512 level also runs the AVX2 twins (simd.hpp).
     return __builtin_cpu_supports("avx512f") != 0 &&
-           __builtin_cpu_supports("avx512vl") != 0;
+           __builtin_cpu_supports("avx512vl") != 0 &&
+           __builtin_cpu_supports("avx2") != 0;
 #else
     return false;
 #endif

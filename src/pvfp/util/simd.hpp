@@ -1,13 +1,25 @@
 #pragma once
 /// \file simd.hpp
-/// Runtime SIMD dispatch for the batched irradiance kernels.
+/// Runtime SIMD dispatch for the hand-written kernel twins.
 ///
-/// The batched kernels (solar/irradiance_kernels) ship three
-/// implementations: a branch-free scalar loop the compiler can
-/// auto-vectorize, a hand-written AVX2 path, and a hand-written AVX-512
-/// path whose masked loads/stores remove the scalar tail loops.  Which
-/// one runs is a pure runtime decision — the library binary is
-/// portable — resolved from, in priority order:
+/// Rule: each kernel is a scalar oracle plus *at most one* intrinsics
+/// twin, kept only where the end-to-end benchmark shows it pays, and a
+/// level runs every twin whose ISA it includes:
+///
+///   kernel                    twin     levels that run the twin
+///   irradiance row/series/    AVX-512  avx512
+///     packed + suitability
+///     binning
+///   horizon row march         AVX2     avx2, avx512
+///   sky geometry/transpose    none     (scalar everywhere)
+///
+/// So the avx512 level calls an avx2-target function, and
+/// cpu_supports_avx512() therefore also requires AVX2.  Twins carry
+/// per-function target(...) attributes (whole translation units are
+/// never compiled with -mavx*, which would leak AVX code into inline
+/// functions shared with baseline callers).  Which level runs is a
+/// pure runtime decision — the library binary is portable — resolved
+/// from, in priority order:
 ///
 ///   1. a set_simd_level() override (tests and benches toggling paths),
 ///   2. the PVFP_SIMD environment variable
@@ -18,10 +30,16 @@
 ///      kernels — "auto"/unset detects), and
 ///   3. CPU detection (auto runs the widest level the CPU has).
 ///
+/// Programs resolve the level once at startup (pvfp_city and pvfp_serve
+/// call simd_level() before reading any input), so a bad PVFP_SIMD ends
+/// the process with the typed message and a non-zero exit instead of
+/// failing every request later.
+///
 /// Determinism contract: all paths compute elementwise-identical IEEE
 /// arithmetic (same operations, same association, no FMA contraction —
 /// the build sets -ffp-contract=off), so switching levels never changes
-/// a single bit of any result.  tests/solar/test_batched_kernels pins
+/// a single bit of any result.  tests/solar/test_batched_kernels,
+/// tests/geo/test_horizon_kernels and tests/solar/test_sky_artifact pin
 /// this.
 
 namespace pvfp {
@@ -29,15 +47,16 @@ namespace pvfp {
 /// Kernel implementation tiers, in increasing width.
 enum class SimdLevel {
     Scalar,  ///< portable loops (still auto-vectorizable)
-    Avx2,    ///< 4-wide double / 8-wide float intrinsics
-    Avx512,  ///< 8-wide double intrinsics with masked tails
+    Avx2,    ///< AVX2 twins (the horizon march)
+    Avx512,  ///< AVX-512 twins plus every AVX2 twin
 };
 
 /// True when the executing CPU supports AVX2.
 bool cpu_supports_avx2();
 
 /// True when the executing CPU supports the AVX-512 subset the kernels
-/// use (avx512f + avx512vl: foundation ops plus 256-bit masked forms).
+/// use (avx512f + avx512vl: foundation ops plus 256-bit masked forms)
+/// and AVX2, whose twins the avx512 level also runs.
 bool cpu_supports_avx512();
 
 /// The level the batched kernels dispatch to right now.

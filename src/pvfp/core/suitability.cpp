@@ -1,7 +1,11 @@
 #include "pvfp/core/suitability.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <span>
 
+#include "pvfp/obs/metrics.hpp"
 #include "pvfp/solar/irradiance_kernels.hpp"
 #include "pvfp/util/error.hpp"
 #include "pvfp/util/parallel.hpp"
@@ -38,7 +42,6 @@ SuitabilityResult compute_suitability(const solar::IrradianceField& field,
     const int w = area.width;
     const int h = area.height;
 
-    // Collect the list of valid cells once; histograms only for them.
     std::vector<std::pair<int, int>> cells;
     cells.reserve(static_cast<std::size_t>(area.valid_count));
     for (int y = 0; y < h; ++y)
@@ -46,90 +49,132 @@ SuitabilityResult compute_suitability(const solar::IrradianceField& field,
             if (area.valid(x, y)) cells.emplace_back(x, y);
     check_arg(!cells.empty(), "compute_suitability: no valid cells");
 
-    std::vector<pvfp::Histogram> g_hist(
-        cells.size(), pvfp::Histogram(0.0, options.g_max, options.bins));
-    std::vector<pvfp::Histogram> t_hist(
-        cells.size(),
-        pvfp::Histogram(options.t_min_c, options.t_max_c, options.bins));
-
-    // Resolve the sampled time axis once (stride + daylight filter), then
-    // sweep it per cell: cells own disjoint histograms, so the cell loop
-    // parallelizes with deterministic results (histogram bin counts are
-    // order-independent integers).
-    std::vector<long> sampled;
-    std::vector<double> sampled_t_air;
+    // A cell-invariant step (no beam anywhere, no sky diffuse: the nights)
+    // gives every cell G = reflected + svf * 0, the same bin pair for every
+    // cell with a finite sky-view factor.  Such steps are binned once into
+    // base counts every cell starts from; the rest of the sampled axis
+    // (stride + daylight filter) is swept per cell.
+    const bool fold =
+        std::all_of(cells.begin(), cells.end(), [&](const auto& cell) {
+            return std::isfinite(field.horizon().sky_view_factor_unchecked(
+                cell.first, cell.second));
+        });
+    const auto [x_first, y_first] = cells.front();
+    std::vector<long> swept;
+    std::vector<double> swept_t_air;
+    std::vector<double> folded_g;
+    std::vector<double> folded_t_air;
     for (long s = 0; s < field.steps(); s += options.step_stride) {
         if (options.daylight_only && !field.is_daylight(s)) continue;
-        sampled.push_back(s);
-        sampled_t_air.push_back(field.air_temperature(s));
+        if (fold && field.is_cell_invariant(s)) {
+            folded_g.push_back(
+                field.cell_irradiance_unchecked(x_first, y_first, s));
+            folded_t_air.push_back(field.air_temperature(s));
+        } else {
+            swept.push_back(s);
+            swept_t_air.push_back(field.air_temperature(s));
+        }
+    }
+    const std::uint64_t total = swept.size() + folded_g.size();
+    check_arg(total > 0, "compute_suitability: no sampled steps");
+
+    // Bin axes of Histogram(0, g_max, bins) and Histogram(t_min, t_max,
+    // bins): bin_series replicates Histogram::bin_index exactly, and the
+    // percentile runs the estimator of Histogram::percentile over the
+    // counts.  Bins are integers, so the result is the same at any SIMD
+    // level and thread count.
+    const double k_th = field.config().thermal_k;
+    const solar::detail::BinAxis g_axis{0.0, options.g_max,
+                                        (options.g_max - 0.0) / options.bins,
+                                        options.bins};
+    const solar::detail::BinAxis t_axis{
+        options.t_min_c, options.t_max_c,
+        (options.t_max_c - options.t_min_c) / options.bins, options.bins};
+    const std::size_t bins = static_cast<std::size_t>(options.bins);
+    const auto count = [](const std::int32_t* g_bins,
+                          const std::int32_t* t_bins, std::size_t n,
+                          std::uint32_t* g_counts, std::uint32_t* t_counts) {
+        for (std::size_t k = 0; k < n; ++k) {
+            ++g_counts[g_bins[k]];
+            ++t_counts[t_bins[k]];
+        }
+    };
+    const auto summarize = [&](std::span<const std::uint32_t> counts,
+                               const solar::detail::BinAxis& a) {
+        return options.use_mean
+                   ? histogram_mean(counts, total, a.lo, a.width)
+                   : histogram_percentile(counts, total, a.lo, a.width, a.hi,
+                                          options.percentile);
+    };
+
+    std::vector<std::uint32_t> g_base(bins, 0);
+    std::vector<std::uint32_t> t_base(bins, 0);
+    {
+        std::vector<std::int32_t> g_bins(folded_g.size());
+        std::vector<std::int32_t> t_bins(folded_g.size());
+        solar::detail::bin_series(folded_g.data(), folded_g.size(),
+                                  folded_t_air.data(), k_th, g_axis, t_axis,
+                                  g_bins.data(), t_bins.data());
+        count(g_bins.data(), t_bins.data(), folded_g.size(), g_base.data(),
+              t_base.data());
     }
 
-    const double k_th = field.config().thermal_k;
-    // Bin axes mirroring the Histogram construction above, for the
-    // fused binning pass (bin_series replicates Histogram::bin_index
-    // exactly — integer indices, so the fusion is deterministic by
-    // construction at any SIMD level).
-    const solar::detail::BinAxis g_axis{0.0, options.g_max,
-                                        g_hist[0].bin_width(),
-                                        options.bins};
-    const solar::detail::BinAxis t_axis{options.t_min_c, options.t_max_c,
-                                        t_hist[0].bin_width(),
-                                        options.bins};
-    // Each cell's time sweep runs through the batched series kernel
-    // (bitwise-identical to the scalar per-step walk), then the fused
-    // binning pass turns the series plus the module-temperature model
-    // into bin indices in one vectorized sweep; the histograms just
-    // count.  Scratch is pooled across chunks.  The sampled axis is
-    // built from [0, steps()) above and the cells come from the
-    // window-matched area, so the unchecked entry applies.
-    struct BinScratch {
-        std::vector<double> g;
-        std::vector<std::int32_t> g_bins;
-        std::vector<std::int32_t> t_bins;
-    };
-    ScratchPool<BinScratch> scratch_pool;
-    parallel_for(
-        0, static_cast<long>(cells.size()), 32, [&](long cb, long ce) {
-            auto scratch = scratch_pool.acquire();
-            scratch->g.resize(sampled.size());
-            scratch->g_bins.resize(sampled.size());
-            scratch->t_bins.resize(sampled.size());
-            for (long c = cb; c < ce; ++c) {
-                const auto [x, y] = cells[static_cast<std::size_t>(c)];
-                auto& gh = g_hist[static_cast<std::size_t>(c)];
-                auto& th = t_hist[static_cast<std::size_t>(c)];
-                field.cell_irradiance_series_unchecked(x, y, sampled,
-                                                       scratch->g.data());
-                solar::detail::bin_series(
-                    scratch->g.data(), sampled.size(), sampled_t_air.data(),
-                    k_th, g_axis, t_axis, scratch->g_bins.data(),
-                    scratch->t_bins.data());
-                for (std::size_t k = 0; k < sampled.size(); ++k) {
-                    gh.add_bin(scratch->g_bins[k]);
-                    th.add_bin(scratch->t_bins[k]);
-                }
-            }
-        });
-
+    // The swept steps, packed once: every cell runs the packed kernel
+    // unit-stride over them, bins the series, counts into scratch on top
+    // of the base counts, and writes its three outputs.  Cells write
+    // disjoint outputs, so the loop parallelizes deterministically.
+    const solar::StepPack pack = field.pack_steps(swept);
     SuitabilityResult out;
     out.suitability = pvfp::Grid2D<double>(w, h, 0.0);
     out.g_percentile = pvfp::Grid2D<double>(w, h, 0.0);
     out.t_percentile = pvfp::Grid2D<double>(w, h, 0.0);
+    struct CountScratch {
+        std::vector<double> g;
+        std::vector<std::int32_t> g_bins;
+        std::vector<std::int32_t> t_bins;
+        std::vector<std::uint32_t> g_counts;
+        std::vector<std::uint32_t> t_counts;
+    };
+    ScratchPool<CountScratch> scratch_pool;
+    parallel_for(
+        0, static_cast<long>(cells.size()), 32, [&](long cb, long ce) {
+            auto scratch = scratch_pool.acquire();
+            scratch->g.resize(swept.size());
+            scratch->g_bins.resize(swept.size());
+            scratch->t_bins.resize(swept.size());
+            auto& g_counts = scratch->g_counts;
+            auto& t_counts = scratch->t_counts;
+            for (long c = cb; c < ce; ++c) {
+                const auto [x, y] = cells[static_cast<std::size_t>(c)];
+                field.cell_irradiance_packed_unchecked(
+                    pack, x, y, 0, pack.size(), scratch->g.data());
+                solar::detail::bin_series(
+                    scratch->g.data(), swept.size(), swept_t_air.data(),
+                    k_th, g_axis, t_axis, scratch->g_bins.data(),
+                    scratch->t_bins.data());
+                g_counts = g_base;
+                t_counts = t_base;
+                count(scratch->g_bins.data(), scratch->t_bins.data(),
+                      swept.size(), g_counts.data(), t_counts.data());
+                const double gp = summarize(g_counts, g_axis);
+                const double tp = summarize(t_counts, t_axis);
+                out.g_percentile(x, y) = gp;
+                out.t_percentile(x, y) = tp;
+                double s_val = gp;
+                if (options.temperature_correction)
+                    s_val *= temperature_correction_factor(tp, options);
+                out.suitability(x, y) = s_val;
+            }
+        });
 
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-        const auto [x, y] = cells[c];
-        const double gp = options.use_mean
-                              ? g_hist[c].approx_mean()
-                              : g_hist[c].percentile(options.percentile);
-        const double tp = options.use_mean
-                              ? t_hist[c].approx_mean()
-                              : t_hist[c].percentile(options.percentile);
-        out.g_percentile(x, y) = gp;
-        out.t_percentile(x, y) = tp;
-        double s_val = gp;
-        if (options.temperature_correction)
-            s_val *= temperature_correction_factor(tp, options);
-        out.suitability(x, y) = s_val;
+    if (obs::enabled()) {
+        obs::MetricsRegistry& reg = obs::registry();
+        if (!folded_g.empty())
+            reg.counter("core.suitability.folded_steps")
+                .add(folded_g.size());
+        if (!swept.empty())
+            reg.counter("core.suitability.swept_cell_steps")
+                .add(cells.size() * swept.size());
     }
     return out;
 }

@@ -12,8 +12,12 @@
 ///
 ///   s_ij = pG75_ij * (p_off - gamma*Tp75_ij) / (p_off - gamma*Tref)
 ///
-/// Percentiles are computed from fixed-range per-cell histograms (exact to
-/// bin width) so a full year over ~10^4 cells fits in a few MB.
+/// Percentiles are computed from fixed-range histograms (exact to bin
+/// width).  Nothing per cell outlives the cell: steps that light no cell
+/// (the nights) are binned once per roof into base counts, the remaining
+/// sampled steps are packed once and swept per cell with the unit-stride
+/// packed kernel, and each cell counts into per-thread scratch on top of
+/// the base counts before its outputs are written.
 
 #include "pvfp/geo/suitable_area.hpp"
 #include "pvfp/solar/irradiance.hpp"

@@ -79,24 +79,25 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
     plane_u_ = std::cos(tilt_rad_);
 
     const std::size_t n = sky->env.size();
-    beam_eq_.resize(n);
-    sky_diffuse_.resize(n);
-    reflected_.resize(n);
+    steps_ = StepPack(n);
     temp_air_.resize(n);
     sun_azimuth_.resize(n);
-    sun_elevation_.resize(n);
-    sun_e_.resize(n);
-    sun_n_.resize(n);
-    sun_u_.resize(n);
     daylight_.resize(n);
-    hor_off0_.resize(n);
-    hor_off1_.resize(n);
-    hor_frac_.resize(n);
 
     const int sectors = horizon_.sectors();
     const std::int32_t ncells =
         static_cast<std::int32_t>(horizon_.cell_count());
     const SharedSkyArtifact& a = *sky;
+    float* beam_eq = steps_.plane(StepPack::kBeamEq);
+    float* sky_diffuse = steps_.plane(StepPack::kSkyDiffuse);
+    float* reflected = steps_.plane(StepPack::kReflected);
+    float* sun_elevation = steps_.plane(StepPack::kSunElevation);
+    float* sun_e = steps_.plane(StepPack::kSunE);
+    float* sun_n = steps_.plane(StepPack::kSunN);
+    float* sun_u = steps_.plane(StepPack::kSunU);
+    std::int32_t* hor_off0 = steps_.hor_off(0);
+    std::int32_t* hor_off1 = steps_.hor_off(1);
+    double* hor_frac = steps_.hor_frac();
 
     // Per-roof finish: round the shared per-step precompute into the
     // float SoA planes and apply the only tilt-dependent transposition
@@ -109,12 +110,12 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
         const std::size_t si = static_cast<std::size_t>(s);
         const EnvSample& e = a.env[si];
         sun_azimuth_[si] = static_cast<float>(a.sun_azimuth[si]);
-        sun_elevation_[si] = static_cast<float>(a.sun_elevation[si]);
+        sun_elevation[si] = static_cast<float>(a.sun_elevation[si]);
         daylight_[si] = a.daylight[si];
         temp_air_[si] = static_cast<float>(e.temp_air_c);
-        sun_e_[si] = static_cast<float>(a.sun_e[si]);
-        sun_n_[si] = static_cast<float>(a.sun_n[si]);
-        sun_u_[si] = static_cast<float>(a.sun_u[si]);
+        sun_e[si] = static_cast<float>(a.sun_e[si]);
+        sun_n[si] = static_cast<float>(a.sun_n[si]);
+        sun_u[si] = static_cast<float>(a.sun_u[si]);
 
         float beam_eq_f = 0.0f;
         float sky_diffuse_f = 0.0f;
@@ -127,9 +128,9 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
             reflected_f = static_cast<float>(
                 e.ghi * config_.albedo * (1.0 - std::cos(tilt_rad_)) / 2.0);
         }
-        beam_eq_[si] = beam_eq_f;
-        sky_diffuse_[si] = sky_diffuse_f;
-        reflected_[si] = reflected_f;
+        beam_eq[si] = beam_eq_f;
+        sky_diffuse[si] = sky_diffuse_f;
+        reflected[si] = reflected_f;
 
         // Horizon interpolation weights for this step's sun azimuth —
         // exactly the arithmetic of HorizonMap::horizon_at_unchecked, so
@@ -139,51 +140,47 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
             sectors;
         const int s0 = static_cast<int>(pos) % sectors;
         const int s1 = (s0 + 1) % sectors;
-        hor_off0_[si] = static_cast<std::int32_t>(s0) * ncells;
-        hor_off1_[si] = static_cast<std::int32_t>(s1) * ncells;
-        hor_frac_[si] = pos - std::floor(pos);
+        hor_off0[si] = static_cast<std::int32_t>(s0) * ncells;
+        hor_off1[si] = static_cast<std::int32_t>(s1) * ncells;
+        hor_frac[si] = pos - std::floor(pos);
     }
     });
 
-    // Daylight-packed twins: compact every per-step quantity the series
-    // kernels touch over daylight steps only, in step order.  A stride-1
-    // daylight sweep (the evaluator shards, suitability with
-    // daylight_only sampling) then maps to a contiguous packed run and
+    // Daylight pack: every per-step quantity the series kernels touch,
+    // over daylight steps only, in step order.  A stride-1 daylight sweep
+    // (the evaluator shards) then maps to a contiguous packed run and
     // runs unit-stride with no gathers — see
-    // cell_irradiance_series_unchecked.  Pure bitwise copies; ~50% of
-    // steps are daylight, so this costs about half a plane set of extra
-    // memory (accounted in serve::ResidentState's budget).
+    // cell_irradiance_series_unchecked.  ~50% of steps are daylight, so
+    // this costs about half a plane set of extra memory (accounted in
+    // serve::ResidentState's budget).
     step_to_packed_.assign(n, -1);
-    long nd = 0;
-    for (std::size_t si = 0; si < n; ++si)
-        if (daylight_[si] != 0) ++nd;
-    p_beam_eq_.resize(static_cast<std::size_t>(nd));
-    p_sky_diffuse_.resize(static_cast<std::size_t>(nd));
-    p_reflected_.resize(static_cast<std::size_t>(nd));
-    p_sun_elevation_.resize(static_cast<std::size_t>(nd));
-    p_sun_e_.resize(static_cast<std::size_t>(nd));
-    p_sun_n_.resize(static_cast<std::size_t>(nd));
-    p_sun_u_.resize(static_cast<std::size_t>(nd));
-    p_hor_off0_.resize(static_cast<std::size_t>(nd));
-    p_hor_off1_.resize(static_cast<std::size_t>(nd));
-    p_hor_frac_.resize(static_cast<std::size_t>(nd));
-    packed_to_step_.reserve(static_cast<std::size_t>(nd));
     for (std::size_t si = 0; si < n; ++si) {
         if (daylight_[si] == 0) continue;
-        const std::size_t p = packed_to_step_.size();
-        step_to_packed_[si] = static_cast<long>(p);
-        p_beam_eq_[p] = beam_eq_[si];
-        p_sky_diffuse_[p] = sky_diffuse_[si];
-        p_reflected_[p] = reflected_[si];
-        p_sun_elevation_[p] = sun_elevation_[si];
-        p_sun_e_[p] = sun_e_[si];
-        p_sun_n_[p] = sun_n_[si];
-        p_sun_u_[p] = sun_u_[si];
-        p_hor_off0_[p] = hor_off0_[si];
-        p_hor_off1_[p] = hor_off1_[si];
-        p_hor_frac_[p] = hor_frac_[si];
+        step_to_packed_[si] = static_cast<long>(packed_to_step_.size());
         packed_to_step_.push_back(static_cast<long>(si));
     }
+    daylight_pack_ = pack_steps(packed_to_step_);
+}
+
+StepPack IrradianceField::pack_steps(std::span<const long> steps) const {
+    const long n_steps = this->steps();
+    for (const long s : steps)
+        check_arg(s >= 0 && s < n_steps,
+                  "IrradianceField: step out of range");
+    const std::size_t n = steps.size();
+    StepPack p(n);
+    const auto gather = [&](const auto* from, auto* to) {
+        for (std::size_t k = 0; k < n; ++k)
+            to[k] = from[static_cast<std::size_t>(steps[k])];
+    };
+    for (std::size_t i = 0; i < StepPack::kPlanes; ++i) {
+        const auto plane = static_cast<StepPack::Plane>(i);
+        gather(steps_.plane(plane), p.plane(plane));
+    }
+    gather(steps_.hor_off(0), p.hor_off(0));
+    gather(steps_.hor_off(1), p.hor_off(1));
+    gather(steps_.hor_frac(), p.hor_frac());
+    return p;
 }
 
 double IrradianceField::cell_irradiance(int x, int y, long s) const {
@@ -199,47 +196,55 @@ double IrradianceField::cell_irradiance_unchecked(int x, int y,
     // domain is validated once at the public call-site boundary.
     assert(s >= 0 && s < static_cast<long>(daylight_.size()));
     const std::size_t si = static_cast<std::size_t>(s);
-    double g = reflected_[si];
-    g += horizon_.sky_view_factor_unchecked(x, y) * sky_diffuse_[si];
-    if (beam_eq_[si] > 0.0f &&
-        !horizon_.is_shaded_unchecked(x, y, sun_azimuth_[si],
-                                      sun_elevation_[si])) {
+    const float beam_eq = steps_.plane(StepPack::kBeamEq)[si];
+    const float sun_e = steps_.plane(StepPack::kSunE)[si];
+    const float sun_n = steps_.plane(StepPack::kSunN)[si];
+    const float sun_u = steps_.plane(StepPack::kSunU)[si];
+    double g = steps_.plane(StepPack::kReflected)[si];
+    g += horizon_.sky_view_factor_unchecked(x, y) *
+         steps_.plane(StepPack::kSkyDiffuse)[si];
+    if (beam_eq > 0.0f &&
+        !horizon_.is_shaded_unchecked(
+            x, y, sun_azimuth_[si],
+            steps_.plane(StepPack::kSunElevation)[si])) {
         double cosi;
         if (has_normals_) {
-            cosi = normals_.east(x, y) * sun_e_[si] +
-                   normals_.north(x, y) * sun_n_[si] +
-                   normals_.up(x, y) * sun_u_[si];
+            cosi = normals_.east(x, y) * sun_e + normals_.north(x, y) * sun_n +
+                   normals_.up(x, y) * sun_u;
         } else {
-            cosi = plane_e_ * sun_e_[si] + plane_n_ * sun_n_[si] +
-                   plane_u_ * sun_u_[si];
+            cosi = plane_e_ * sun_e + plane_n_ * sun_n + plane_u_ * sun_u;
         }
-        if (cosi > 0.0) g += beam_eq_[si] * cosi;
+        if (cosi > 0.0) g += beam_eq * cosi;
     }
     return g;
 }
 
 detail::FieldView IrradianceField::view() const {
+    return view(daylight_pack_);
+}
+
+detail::FieldView IrradianceField::view(const StepPack& pack) const {
     detail::FieldView v;
-    v.beam_eq = beam_eq_.data();
-    v.sky_diffuse = sky_diffuse_.data();
-    v.reflected = reflected_.data();
-    v.sun_elevation = sun_elevation_.data();
-    v.sun_e = sun_e_.data();
-    v.sun_n = sun_n_.data();
-    v.sun_u = sun_u_.data();
-    v.hor_off0 = hor_off0_.data();
-    v.hor_off1 = hor_off1_.data();
-    v.hor_frac = hor_frac_.data();
-    v.p_beam_eq = p_beam_eq_.data();
-    v.p_sky_diffuse = p_sky_diffuse_.data();
-    v.p_reflected = p_reflected_.data();
-    v.p_sun_elevation = p_sun_elevation_.data();
-    v.p_sun_e = p_sun_e_.data();
-    v.p_sun_n = p_sun_n_.data();
-    v.p_sun_u = p_sun_u_.data();
-    v.p_hor_off0 = p_hor_off0_.data();
-    v.p_hor_off1 = p_hor_off1_.data();
-    v.p_hor_frac = p_hor_frac_.data();
+    v.beam_eq = steps_.plane(StepPack::kBeamEq);
+    v.sky_diffuse = steps_.plane(StepPack::kSkyDiffuse);
+    v.reflected = steps_.plane(StepPack::kReflected);
+    v.sun_elevation = steps_.plane(StepPack::kSunElevation);
+    v.sun_e = steps_.plane(StepPack::kSunE);
+    v.sun_n = steps_.plane(StepPack::kSunN);
+    v.sun_u = steps_.plane(StepPack::kSunU);
+    v.hor_off0 = steps_.hor_off(0);
+    v.hor_off1 = steps_.hor_off(1);
+    v.hor_frac = steps_.hor_frac();
+    v.p_beam_eq = pack.plane(StepPack::kBeamEq);
+    v.p_sky_diffuse = pack.plane(StepPack::kSkyDiffuse);
+    v.p_reflected = pack.plane(StepPack::kReflected);
+    v.p_sun_elevation = pack.plane(StepPack::kSunElevation);
+    v.p_sun_e = pack.plane(StepPack::kSunE);
+    v.p_sun_n = pack.plane(StepPack::kSunN);
+    v.p_sun_u = pack.plane(StepPack::kSunU);
+    v.p_hor_off0 = pack.hor_off(0);
+    v.p_hor_off1 = pack.hor_off(1);
+    v.p_hor_frac = pack.hor_frac();
     v.angles = horizon_.angles_data();
     v.svf = horizon_.svf_data();
     if (has_normals_) {
@@ -305,7 +310,8 @@ void IrradianceField::cell_irradiance_series_unchecked(
         }
         if (contiguous) {
             cell_irradiance_packed_unchecked(
-                x, y, p0, p0 + static_cast<long>(steps.size()), out);
+                daylight_pack_, x, y, p0,
+                p0 + static_cast<long>(steps.size()), out);
             return;
         }
     }
@@ -319,22 +325,24 @@ void IrradianceField::cell_irradiance_series_unchecked(
                                    out);
 }
 
-void IrradianceField::cell_irradiance_packed(int x, int y, long p0, long p1,
+void IrradianceField::cell_irradiance_packed(const StepPack& pack, int x,
+                                             int y, long p0, long p1,
                                              double* out) const {
     check_arg(x >= 0 && x < width() && y >= 0 && y < height(),
               "IrradianceField: cell out of range");
-    check_arg(p0 >= 0 && p0 <= p1 && p1 <= packed_steps(),
+    check_arg(p0 >= 0 && p0 <= p1 && p1 <= pack.size(),
               "IrradianceField: packed range out of range");
-    cell_irradiance_packed_unchecked(x, y, p0, p1, out);
+    cell_irradiance_packed_unchecked(pack, x, y, p0, p1, out);
 }
 
-void IrradianceField::cell_irradiance_packed_unchecked(int x, int y,
-                                                       long p0, long p1,
+void IrradianceField::cell_irradiance_packed_unchecked(const StepPack& pack,
+                                                       int x, int y, long p0,
+                                                       long p1,
                                                        double* out) const {
     assert(x >= 0 && x < width() && y >= 0 && y < height());
-    assert(p0 >= 0 && p0 <= p1 && p1 <= packed_steps());
+    assert(p0 >= 0 && p0 <= p1 && p1 <= pack.size());
     if (p0 == p1) return;
-    const detail::FieldView v = view();
+    const detail::FieldView v = view(pack);
     if (simd_level() == SimdLevel::Avx512 &&
         detail::avx512_kernels_compiled())
         detail::cell_packed_avx512(v, x, y, p0, p1, out);
@@ -349,10 +357,12 @@ double IrradianceField::cell_module_temperature(int x, int y, long s) const {
 double IrradianceField::plane_irradiance_unshaded(long s) const {
     check_step(s);
     const std::size_t si = static_cast<std::size_t>(s);
-    const double cosi = plane_e_ * sun_e_[si] + plane_n_ * sun_n_[si] +
-                        plane_u_ * sun_u_[si];
-    return beam_eq_[si] * std::max(0.0, cosi) + sky_diffuse_[si] +
-           reflected_[si];
+    const double cosi = plane_e_ * steps_.plane(StepPack::kSunE)[si] +
+                        plane_n_ * steps_.plane(StepPack::kSunN)[si] +
+                        plane_u_ * steps_.plane(StepPack::kSunU)[si];
+    return steps_.plane(StepPack::kBeamEq)[si] * std::max(0.0, cosi) +
+           steps_.plane(StepPack::kSkyDiffuse)[si] +
+           steps_.plane(StepPack::kReflected)[si];
 }
 
 double IrradianceField::unshaded_insolation_kwh_m2() const {

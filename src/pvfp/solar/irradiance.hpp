@@ -25,13 +25,14 @@
 /// to the scalar cell_irradiance_unchecked per cell, at any SIMD level
 /// (see util/simd.hpp for the dispatch contract).
 ///
-/// The per-step planes additionally carry *daylight-packed* twins: the
-/// same quantities compacted over daylight steps only, in step order.
-/// cell_irradiance_series detects contiguous daylight runs (the default
-/// stride-1 sweeps of the evaluator and suitability) and sweeps the
-/// packed planes unit-stride — no gathers, no night lanes — via
-/// cell_irradiance_packed; packed_to_step()/packed_index() map between
-/// the two step domains.
+/// Any step list can be *packed*: pack_steps() copies the per-step planes
+/// of the listed steps into a StepPack, contiguous in list order, and
+/// cell_irradiance_packed sweeps a pack unit-stride — no gathers, no
+/// lanes for unlisted steps.  The field keeps one pack of its own, over
+/// its daylight steps: cell_irradiance_series detects contiguous daylight
+/// runs (the stride-1 evaluator sweeps) and reads it, and
+/// packed_to_step()/packed_index() map between the two step domains.
+/// compute_suitability packs its stride-sampled axis once per call.
 
 #include <cassert>
 #include <cstdint>
@@ -60,6 +61,70 @@ struct FieldConfig {
     double thermal_k = 1.0 / 30.0;
 };
 
+/// The per-step planes the series kernels read, over a list of steps:
+/// entry k holds bitwise copies of the values of step steps[k], so a
+/// kernel sweeping a pack reproduces the unpacked series bit for bit.
+/// The field keeps its own planes over all its steps in one, and
+/// IrradianceField::pack_steps builds packs over any step list; a pack is
+/// only valid with the field that built it.
+///
+/// The float planes share one block, as do the two offset planes, and
+/// each plane is an odd number of 64-byte lines long, so one step's
+/// entries of different planes never share an L1 set.  (As separate
+/// year-long vectors, each can be page-aligned by the allocator; the
+/// kernels read nine planes per step, and those would all map to one
+/// set.)
+class StepPack {
+public:
+    /// The float planes.  beam_eq is the beam(+circumsolar)
+    /// normal-equivalent magnitude [W/m^2]: a cell's plane-of-array beam
+    /// is beam_eq * max(0, n_cell . s).  sky_diffuse (isotropic) and
+    /// reflected (ground) are in-plane terms; sun_e/n/u is the sun unit
+    /// vector (east, north, up).
+    enum Plane : std::size_t {
+        kBeamEq,
+        kSkyDiffuse,
+        kReflected,
+        kSunElevation,
+        kSunE,
+        kSunN,
+        kSunU,
+        kPlanes
+    };
+
+    StepPack() = default;
+    /// Zero-filled planes for \p n steps.
+    explicit StepPack(std::size_t n)
+        : n_(n), stride_((((n + 15) / 16) | 1) * 16),
+          planes_(kPlanes * stride_), hor_off_(2 * stride_), hor_frac_(n) {}
+
+    long size() const { return static_cast<long>(n_); }
+
+    const float* plane(Plane p) const {
+        return planes_.data() + p * stride_;
+    }
+    float* plane(Plane p) { return planes_.data() + p * stride_; }
+
+    /// Horizon interpolation per step: angle-plane offsets of the two
+    /// sectors (\p i = 0, 1) bracketing the sun azimuth, already
+    /// multiplied by the cell count, and the interpolation fraction.
+    const std::int32_t* hor_off(int i) const {
+        return hor_off_.data() + static_cast<std::size_t>(i) * stride_;
+    }
+    std::int32_t* hor_off(int i) {
+        return hor_off_.data() + static_cast<std::size_t>(i) * stride_;
+    }
+    const double* hor_frac() const { return hor_frac_.data(); }
+    double* hor_frac() { return hor_frac_.data(); }
+
+private:
+    std::size_t n_ = 0;
+    std::size_t stride_ = 0;  ///< entries from one plane to the next
+    std::vector<float> planes_;
+    std::vector<std::int32_t> hor_off_;
+    std::vector<double> hor_frac_;
+};
+
 namespace detail {
 
 /// Raw pointer view of the field's SoA planes, consumed by the scalar
@@ -80,10 +145,9 @@ struct FieldView {
     const std::int32_t* hor_off0 = nullptr;
     const std::int32_t* hor_off1 = nullptr;
     const double* hor_frac = nullptr;
-    // Daylight-packed step planes: the same per-step quantities
-    // compacted over daylight steps only, in step order, so stride-1
-    // daylight sweeps read them unit-stride with no gathers and no
-    // night lanes.  Values are bitwise copies of the step planes above
+    // Packed step planes: one StepPack's planes (the field's daylight
+    // pack, or the pack the view was made for), read unit-stride by the
+    // packed kernels.  Values are bitwise copies of the step planes above
     // (the packed kernels recompute nothing).
     const float* p_beam_eq = nullptr;
     const float* p_sky_diffuse = nullptr;
@@ -155,10 +219,15 @@ public:
         return daylight_[static_cast<std::size_t>(s)] != 0;
     }
 
-    /// Number of daylight steps — the length of the packed step planes.
-    long packed_steps() const {
-        return static_cast<long>(packed_to_step_.size());
-    }
+    /// The step planes packed over the daylight steps, in step order.
+    /// cell_irradiance_series_unchecked sweeps it automatically when its
+    /// step span is a contiguous daylight run (the stride-1 evaluator
+    /// sweeps), so callers only pass it to cell_irradiance_packed when
+    /// they already think in packed indices.
+    const StepPack& daylight_pack() const { return daylight_pack_; }
+
+    /// Number of daylight steps — the length of the daylight pack.
+    long packed_steps() const { return daylight_pack_.size(); }
 
     /// Original step index of packed index \p p (ascending in p).
     std::span<const long> packed_to_step() const { return packed_to_step_; }
@@ -169,11 +238,26 @@ public:
         return step_to_packed_[static_cast<std::size_t>(s)];
     }
 
+    /// True when step \p s puts the same G on every cell: no beam reaches
+    /// any cell (beam_eq <= 0 or the sun at or below the horizon) and the
+    /// sky-diffuse plane is zero, so G = reflected + svf * 0.  Exact for
+    /// every cell with a finite sky-view factor; compute_suitability bins
+    /// such steps once per roof instead of once per cell.
+    bool is_cell_invariant(long s) const {
+        check_step(s);
+        const std::size_t si = static_cast<std::size_t>(s);
+        return !(steps_.plane(StepPack::kBeamEq)[si] > 0.0f &&
+                 static_cast<double>(
+                     steps_.plane(StepPack::kSunElevation)[si]) > 0.0) &&
+               steps_.plane(StepPack::kSkyDiffuse)[si] == 0.0f;
+    }
+
     /// Sun position at step \p s.
     SunPosition sun(long s) const {
         check_step(s);
-        return SunPosition{sun_azimuth_[static_cast<std::size_t>(s)],
-                           sun_elevation_[static_cast<std::size_t>(s)]};
+        const std::size_t si = static_cast<std::size_t>(s);
+        return SunPosition{sun_azimuth_[si],
+                           steps_.plane(StepPack::kSunElevation)[si]};
     }
 
     /// Ambient air temperature [deg C] at step \p s.
@@ -197,8 +281,8 @@ public:
     /// step \p s for i in [0, x1-x0).  Bitwise identical to calling
     /// cell_irradiance_unchecked per cell, at any SIMD level; validates
     /// the row, span, and step once (throws InvalidArgument).  This is
-    /// the fixed-step hot path of compute_suitability, the Fig. 6 maps,
-    /// and the footprint modes of anchor_irradiance_unchecked.
+    /// the fixed-step path of the footprint modes of
+    /// anchor_irradiance_unchecked.
     void cell_irradiance_row(int y, long s, int x0, int x1,
                              double* out) const;
 
@@ -212,30 +296,33 @@ public:
 
     /// Unchecked fast path of cell_irradiance_series for callers that
     /// validated the cell and step span once at their own boundary
-    /// (anchor_irradiance_series sweeping a footprint, suitability's
-    /// per-cell sweep over one prevalidated sampled axis).
+    /// (anchor_irradiance_series sweeping a footprint).
     /// Preconditions (debug-asserted): cell inside the window, every
     /// steps[k] in [0, steps()).
     void cell_irradiance_series_unchecked(int x, int y,
                                           std::span<const long> steps,
                                           double* out) const;
 
-    /// Packed series kernel: out[k] = cell_irradiance of cell (x, y) at
-    /// step packed_to_step()[p0 + k] for k in [0, p1 - p0) — the
-    /// gather-free unit-stride sweep over daylight steps.  Bitwise
-    /// identical to cell_irradiance_series on the corresponding original
-    /// steps at any SIMD level.  cell_irradiance_series_unchecked calls
-    /// this automatically when its step span is a contiguous daylight
-    /// run (the stride-1 evaluator/suitability sweeps), so callers only
-    /// need it when they already think in packed indices.  Validates the
-    /// cell and packed range (throws InvalidArgument).
-    void cell_irradiance_packed(int x, int y, long p0, long p1,
-                                double* out) const;
+    /// Pack the per-step planes over \p steps (any list of steps in
+    /// range, typically a sorted sampled axis): entry k of the result is
+    /// step steps[k].  The field's own daylight pack is built by this
+    /// routine.  Validates every step (throws InvalidArgument).
+    StepPack pack_steps(std::span<const long> steps) const;
 
-    /// Unchecked fast path of cell_irradiance_packed.  Preconditions
+    /// Packed series kernel: out[k] = cell_irradiance of cell (x, y) at
+    /// the step \p pack holds at index p0 + k, for k in [0, p1 - p0) —
+    /// the gather-free unit-stride sweep.  \p pack must come from this
+    /// field's pack_steps.  Bitwise identical to cell_irradiance_series
+    /// on the corresponding original steps at any SIMD level.  Validates
+    /// the cell and packed range (throws InvalidArgument).
+    void cell_irradiance_packed(const StepPack& pack, int x, int y, long p0,
+                                long p1, double* out) const;
+
+    /// Unchecked fast path of the call above.  Preconditions
     /// (debug-asserted): cell inside the window,
-    /// 0 <= p0 <= p1 <= packed_steps().
-    void cell_irradiance_packed_unchecked(int x, int y, long p0, long p1,
+    /// 0 <= p0 <= p1 <= pack.size().
+    void cell_irradiance_packed_unchecked(const StepPack& pack, int x, int y,
+                                          long p0, long p1,
                                           double* out) const;
 
     /// Module temperature [deg C] at the cell: Tair + k * G.
@@ -251,10 +338,14 @@ public:
     /// Raw SoA plane view consumed by the batched kernels
     /// (irradiance_kernels.hpp).  Internal surface, exposed for the
     /// kernel micro-benchmarks and differential tests; pointers are
-    /// invalidated by destroying the field.
+    /// invalidated by destroying the field.  The packed planes are the
+    /// daylight pack's.
     detail::FieldView view() const;
 
 private:
+    /// view() with the packed planes of \p pack.
+    detail::FieldView view(const StepPack& pack) const;
+
     /// Validating step guard backing the public per-step methods.
     void check_step(long s) const {
         check_arg(s >= 0 && s < static_cast<long>(daylight_.size()),
@@ -273,39 +364,18 @@ private:
     double plane_n_ = 0.0;
     double plane_u_ = 1.0;
 
-    // Per-step SoA planes (formerly one array-of-structs).  beam_eq is
-    // the beam(+circumsolar) normal-equivalent magnitude [W/m^2]: a
-    // cell's plane-of-array beam is beam_eq * max(0, n_cell . s).
-    std::vector<float> beam_eq_;
-    std::vector<float> sky_diffuse_;  ///< isotropic sky diffuse, in plane
-    std::vector<float> reflected_;    ///< ground-reflected, in plane
+    /// The kernel-read per-step planes over all steps (the identity
+    /// pack), plus the per-step values only the scalar paths read.
+    /// steps_'s horizon interpolation replicates
+    /// HorizonMap::horizon_at_unchecked bit for bit.
+    StepPack steps_;
     std::vector<float> temp_air_;
     std::vector<float> sun_azimuth_;
-    std::vector<float> sun_elevation_;
-    /// Sun unit vector (east, north, up).
-    std::vector<float> sun_e_;
-    std::vector<float> sun_n_;
-    std::vector<float> sun_u_;
     std::vector<std::uint8_t> daylight_;
-    /// Precomputed horizon interpolation per step: the batch kernels
-    /// look up angles[hor_off{0,1}[s] + cell] and lerp with hor_frac[s];
-    /// values replicate HorizonMap::horizon_at_unchecked bit for bit.
-    std::vector<std::int32_t> hor_off0_;
-    std::vector<std::int32_t> hor_off1_;
-    std::vector<double> hor_frac_;
-    /// Daylight-packed twins of the step planes above (bitwise copies,
-    /// daylight steps only, in step order) plus the index maps between
-    /// the two domains.  step_to_packed_ is -1 on night steps.
-    std::vector<float> p_beam_eq_;
-    std::vector<float> p_sky_diffuse_;
-    std::vector<float> p_reflected_;
-    std::vector<float> p_sun_elevation_;
-    std::vector<float> p_sun_e_;
-    std::vector<float> p_sun_n_;
-    std::vector<float> p_sun_u_;
-    std::vector<std::int32_t> p_hor_off0_;
-    std::vector<std::int32_t> p_hor_off1_;
-    std::vector<double> p_hor_frac_;
+    /// steps_ packed over the daylight steps, in step order, plus the
+    /// index maps between the two domains.
+    /// step_to_packed_ is -1 on night steps.
+    StepPack daylight_pack_;
     std::vector<long> packed_to_step_;
     std::vector<long> step_to_packed_;
 };

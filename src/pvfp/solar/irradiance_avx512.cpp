@@ -228,10 +228,9 @@ PVFP_AVX512 void cell_series_avx512(const FieldView& f, int x, int y,
 
 PVFP_AVX512 void cell_packed_avx512(const FieldView& f, int x, int y,
                                     long p0, long p1, double* out) {
-    // Unit-stride twin of cell_series_avx512 over the daylight-packed
-    // planes: contiguous masked loads everywhere except the per-cell
-    // horizon angle lookups, which stay (masked) gathers by sector
-    // offset.
+    // Unit-stride twin of cell_series_avx512 over the packed planes:
+    // contiguous masked loads everywhere except the per-cell horizon
+    // angle lookups, which stay (masked) gathers by sector offset.
     const long ci = static_cast<long>(y) * f.width + x;
     const float* angles_cell = f.angles + ci;
     const __m512d svf_v = _mm512_set1_pd(f.svf[ci]);

@@ -135,13 +135,14 @@ void cell_series_scalar(const FieldView& f, int x, int y, const long* steps,
 
 void cell_packed_scalar(const FieldView& f, int x, int y, long p0, long p1,
                         double* out) {
-    // Unit-stride twin of cell_series_scalar over the daylight-packed
-    // planes.  The packed planes are bitwise copies of the step planes,
-    // so computing the identical expression over them reproduces the
-    // series kernel (and thus the scalar reference) bit for bit.  The
-    // full lit condition stays: a daylight step can still have
-    // beam_eq == 0 (no beam in the weather series) and the float-cast
-    // sun elevation of a barely-risen sun can round to 0.0f.
+    // Unit-stride twin of cell_series_scalar over the packed planes.
+    // The packed planes are bitwise copies of the step planes, so
+    // computing the identical expression over them reproduces the series
+    // kernel (and thus the scalar reference) bit for bit.  The full lit
+    // condition stays: a packed step can still have beam_eq == 0 (no
+    // beam in the weather series) or a sun at or below the horizon (a
+    // sampled night step), and the float-cast sun elevation of a
+    // barely-risen sun can round to 0.0f.
     const long ci = static_cast<long>(y) * f.width + x;
     const double svf = f.svf[ci];
     const float* angles_cell = f.angles + ci;

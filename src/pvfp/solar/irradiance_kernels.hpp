@@ -5,23 +5,26 @@
 /// Three shapes, each a scalar kernel plus one AVX-512 twin:
 ///  - row kernel:    fixed step, contiguous span of cells in one row;
 ///  - series kernel: fixed cell, arbitrary span of steps (gathers);
-///  - packed kernel: fixed cell, contiguous run of *daylight-packed*
-///    steps (unit-stride loads over the packed planes — the gather-free
-///    fast path of cell_irradiance_series for stride-1 daylight sweeps).
+///  - packed kernel: fixed cell, contiguous run of a StepPack (unit-stride
+///    loads over the packed planes — the gather-free sweep of
+///    compute_suitability's sampled axis, and of cell_irradiance_series
+///    on stride-1 daylight runs).
 ///
 /// The scalar implementations are branch-free inner loops (horizon lerp
 /// + compare instead of is_shaded branching, masked beam term) written
 /// so GCC/Clang auto-vectorize them; they run at the scalar and avx2
 /// levels.  The avx512 level runs the hand-written AVX-512 twins
 /// (irradiance_avx512.cpp), whose masked loads/stores leave no scalar
-/// tail loop.  They pay end to end: on the repository benchmark
-/// `serve_churn` ran at 27.8 rps at avx512 against 24.3 rps at avx2,
-/// and the city run's suitability stage took ≈3.1 s against ≈3.5–4.3 s.
-/// An AVX2 twin showed no such gain, so the avx2 level has none
-/// (util/simd.hpp).  All compute the *same IEEE operations in the same association* as
-/// IrradianceField::cell_irradiance_unchecked — no FMA (the build sets
-/// -ffp-contract=off), no reassociation — so every implementation is
-/// bitwise-identical per cell.  tests/solar/test_batched_kernels pins
+/// tail loop.  They paid end to end on the gather path: on the
+/// repository benchmark `serve_churn` ran at 27.8 rps at avx512 against
+/// 24.3 rps at avx2, and the city run's suitability stage took ≈3.1 s
+/// against ≈3.5–4.3 s.  Suitability now runs the packed kernel, and there
+/// the twin shows no gain (≈0.54 s at avx512 against ≈0.50–0.57 s at
+/// avx2).  An AVX2 twin showed no gain, so the avx2 level has none
+/// (util/simd.hpp).  All compute the *same IEEE operations in the same
+/// association* as IrradianceField::cell_irradiance_unchecked — no FMA
+/// (the build sets -ffp-contract=off), no reassociation — so every
+/// implementation is bitwise-identical per cell.  tests/solar/test_batched_kernels pins
 /// this property across roofs, sky models, normals on/off, and SIMD
 /// levels.
 ///
@@ -44,8 +47,8 @@ void cell_row_scalar(const FieldView& f, int y, long s, int x0, int x1,
 void cell_series_scalar(const FieldView& f, int x, int y, const long* steps,
                         std::size_t n, double* out);
 
-/// out[k] = G(x, y, packed_to_step[p0 + k]) for k in [0, p1 - p0):
-/// unit-stride sweep over the daylight-packed planes.
+/// out[k] = G(x, y, step of packed entry p0 + k) for k in [0, p1 - p0):
+/// unit-stride sweep over the view's packed planes (FieldView::p_*).
 void cell_packed_scalar(const FieldView& f, int x, int y, long p0, long p1,
                         double* out);
 
@@ -77,10 +80,10 @@ struct BinAxis {
 
 /// Fused suitability binning: for each sample k, g_bins[k] is the
 /// Histogram::bin_index of g[k] on \p ga and t_bins[k] the bin_index of
-/// t_air[k] + k_th * g[k] on \p ta — exactly the per-sample arithmetic
-/// compute_suitability used to run after the series kernel, now a
-/// branch-free elementwise pass (with an AVX-512 twin) fused onto the
-/// kernel output.  Bin indices are integers, so this is trivially
+/// t_air[k] + k_th * g[k] on \p ta — the per-sample arithmetic of
+/// Histogram::add on G and module temperature, as a branch-free
+/// elementwise pass (with an AVX-512 twin) over the packed kernel's
+/// output.  Bin indices are integers, so this is trivially
 /// deterministic; the expressions still replicate Histogram::bin_index
 /// case for case.
 void bin_series_scalar(const double* g, std::size_t n, const double* t_air,

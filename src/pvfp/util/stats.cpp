@@ -1,7 +1,6 @@
 #include "pvfp/util/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "pvfp/util/error.hpp"
@@ -128,12 +127,6 @@ void Histogram::add(double x, std::uint32_t n) {
     total_ += n;
 }
 
-void Histogram::add_bin(int i, std::uint32_t n) {
-    assert(i >= 0 && i < bin_count());
-    counts_[static_cast<std::size_t>(i)] += n;
-    total_ += n;
-}
-
 std::uint32_t Histogram::bin(int i) const {
     check_arg(i >= 0 && i < bin_count(), "Histogram::bin: index out of range");
     return counts_[static_cast<std::size_t>(i)];
@@ -145,35 +138,47 @@ double Histogram::bin_lower(int i) const {
     return lo_ + width_ * i;
 }
 
-double Histogram::percentile(double p) const {
-    check_arg(total_ > 0, "Histogram::percentile: empty histogram");
+double histogram_percentile(std::span<const std::uint32_t> counts,
+                            std::uint64_t total, double lo, double width,
+                            double hi, double p) {
+    check_arg(total > 0, "histogram_percentile: empty histogram");
     check_arg(p >= 0.0 && p <= 100.0,
-              "Histogram::percentile: p must be in [0,100]");
-    const double target = (p / 100.0) * static_cast<double>(total_);
+              "histogram_percentile: p must be in [0,100]");
+    const double target = (p / 100.0) * static_cast<double>(total);
     std::uint64_t cum = 0;
-    for (int i = 0; i < bin_count(); ++i) {
-        const std::uint32_t c = counts_[static_cast<std::size_t>(i)];
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        const std::uint32_t c = counts[i];
         if (static_cast<double>(cum) + c >= target) {
-            if (c == 0) return bin_lower(i);
+            const double lower = lo + width * static_cast<int>(i);
+            if (c == 0) return lower;
             // Linear interpolation of the cumulative distribution within
             // the bin: fraction of the bin's mass below the target.
             const double frac =
                 (target - static_cast<double>(cum)) / static_cast<double>(c);
-            return bin_lower(i) + frac * width_;
+            return lower + frac * width;
         }
         cum += c;
     }
-    return hi_;
+    return hi;
+}
+
+double histogram_mean(std::span<const std::uint32_t> counts,
+                      std::uint64_t total, double lo, double width) {
+    check_arg(total > 0, "histogram_mean: empty histogram");
+    double acc = 0.0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        acc += static_cast<double>(counts[i]) *
+               (lo + width * static_cast<int>(i) + 0.5 * width);
+    }
+    return acc / static_cast<double>(total);
+}
+
+double Histogram::percentile(double p) const {
+    return histogram_percentile(counts_, total_, lo_, width_, hi_, p);
 }
 
 double Histogram::approx_mean() const {
-    check_arg(total_ > 0, "Histogram::approx_mean: empty histogram");
-    double acc = 0.0;
-    for (int i = 0; i < bin_count(); ++i) {
-        acc += static_cast<double>(counts_[static_cast<std::size_t>(i)]) *
-               (bin_lower(i) + 0.5 * width_);
-    }
-    return acc / static_cast<double>(total_);
+    return histogram_mean(counts_, total_, lo_, width_);
 }
 
 }  // namespace pvfp

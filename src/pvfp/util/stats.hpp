@@ -56,6 +56,20 @@ private:
     double max_ = 0.0;
 };
 
+/// The percentile estimator of Histogram::percentile over raw bin counts:
+/// bin i covers [lo + width*i, lo + width*(i+1)), \p total is the sum of
+/// \p counts, and a target past the last bin returns \p hi.  Callers that
+/// count into flat arrays (compute_suitability) use it directly.  Throws
+/// InvalidArgument when \p total is 0 or p is outside [0,100].
+double histogram_percentile(std::span<const std::uint32_t> counts,
+                            std::uint64_t total, double lo, double width,
+                            double hi, double p);
+
+/// Histogram::approx_mean over raw bin counts (bin centers weighted by
+/// count); throws InvalidArgument when \p total is 0.
+double histogram_mean(std::span<const std::uint32_t> counts,
+                      std::uint64_t total, double lo, double width);
+
 /// Fixed-range histogram with uniform bins and 32-bit counts.
 ///
 /// The floorplanner needs the 75th percentile of irradiance *per grid cell*
@@ -72,10 +86,6 @@ public:
     void add(double x);
     /// Add \p n occurrences of \p x at once.
     void add(double x, std::uint32_t n);
-    /// Add \p n occurrences directly into bin \p i — the fused binning
-    /// path (solar::detail::bin_series precomputes indices in batch).
-    /// Precondition (debug-asserted): 0 <= i < bin_count().
-    void add_bin(int i, std::uint32_t n = 1);
 
     /// Percentile via cumulative counts with linear interpolation inside the
     /// containing bin.  Throws when the histogram is empty.

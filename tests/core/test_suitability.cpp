@@ -1,13 +1,21 @@
 /// Tests for the suitability metric (paper Section III-C): percentile
 /// behaviour on shaded vs unshaded cells, the temperature correction
-/// factor, and option handling (mean ablation, strides, daylight-only).
+/// factor, option handling (mean ablation, strides, daylight-only), and a
+/// differential oracle against a per-step Histogram reference.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "../test_helpers.hpp"
 #include "pvfp/core/suitability.hpp"
+#include "pvfp/geo/raster.hpp"
 #include "pvfp/geo/scene.hpp"
 #include "pvfp/util/error.hpp"
+#include "pvfp/util/rng.hpp"
+#include "pvfp/util/simd.hpp"
+#include "pvfp/util/stats.hpp"
 
 namespace pvfp::core {
 namespace {
@@ -185,6 +193,217 @@ TEST(Suitability, OptionValidation) {
     const auto wrong_area = flat_area(4, 3);
     EXPECT_THROW(compute_suitability(field, wrong_area, {}),
                  InvalidArgument);
+}
+
+/// The suitability metric computed the plain way: for every valid cell and
+/// sampled step, one cell_irradiance query binned with Histogram::add for
+/// G and for the module temperature.
+SuitabilityResult reference_suitability(const solar::IrradianceField& field,
+                                        const geo::PlacementArea& area,
+                                        const SuitabilityOptions& options) {
+    SuitabilityResult out;
+    out.suitability = Grid2D<double>(area.width, area.height, 0.0);
+    out.g_percentile = Grid2D<double>(area.width, area.height, 0.0);
+    out.t_percentile = Grid2D<double>(area.width, area.height, 0.0);
+    for (int y = 0; y < area.height; ++y)
+        for (int x = 0; x < area.width; ++x) {
+            if (!area.valid(x, y)) continue;
+            Histogram gh(0.0, options.g_max, options.bins);
+            Histogram th(options.t_min_c, options.t_max_c, options.bins);
+            for (long s = 0; s < field.steps(); s += options.step_stride) {
+                if (options.daylight_only && !field.is_daylight(s)) continue;
+                gh.add(field.cell_irradiance(x, y, s));
+                th.add(field.cell_module_temperature(x, y, s));
+            }
+            const double gp = options.use_mean
+                                  ? gh.approx_mean()
+                                  : gh.percentile(options.percentile);
+            const double tp = options.use_mean
+                                  ? th.approx_mean()
+                                  : th.percentile(options.percentile);
+            out.g_percentile(x, y) = gp;
+            out.t_percentile(x, y) = tp;
+            out.suitability(x, y) =
+                options.temperature_correction
+                    ? gp * temperature_correction_factor(tp, options)
+                    : gp;
+        }
+    return out;
+}
+
+/// The weather cases of the oracle, each pinning one shape of the
+/// night fold.
+enum class Weather {
+    /// Day/night series with dark nights (they fold), a few lit night
+    /// steps (dhi > 0: they must not fold) and dead daylight steps.
+    DayNight,
+    /// A polar-night site with no light at all: every step folds.
+    PolarNight,
+    /// A polar-day site lit at every step: nothing folds.
+    PolarDay,
+};
+
+struct OracleSetup {
+    solar::IrradianceField field;
+    geo::PlacementArea area;
+};
+
+/// A rough 13x6 roof with obstacles and a masked cell under \p weather.
+OracleSetup oracle_setup(Weather weather, bool normals) {
+    const int w = 13;
+    const int h = 6;
+    Rng rng(normals ? 41 : 42);
+    geo::Raster dsm(w + 4, h + 4, 0.2, 5.0);
+    for (int y = 0; y < dsm.height(); ++y)
+        for (int x = 0; x < dsm.width(); ++x)
+            dsm(x, y) += rng.uniform(0.0, 0.3);
+    dsm(4, 3) += 2.5;
+    dsm(12, 6) += 4.0;
+    dsm(1, 8) += 1.5;
+
+    solar::FieldConfig config;
+    TimeGrid grid(60, 172, 4);
+    if (weather != Weather::DayNight) {
+        config.location.latitude_deg = 80.0;
+        if (weather == Weather::PolarNight) grid = TimeGrid(60, 345, 4);
+    }
+    std::vector<solar::EnvSample> env(
+        static_cast<std::size_t>(grid.total_steps()));
+    if (weather == Weather::PolarDay) {
+        for (auto& e : env) {
+            e.ghi = rng.uniform(200.0, 700.0);
+            e.dni = rng.uniform(100.0, 600.0);
+            e.dhi = rng.uniform(50.0, 250.0);
+            e.temp_air_c = rng.uniform(-2.0, 12.0);
+        }
+    } else if (weather == Weather::PolarNight) {
+        for (auto& e : env) e.temp_air_c = rng.uniform(-35.0, -5.0);
+    } else {
+        // Daylight from the sun geometry of the same site and grid.
+        const auto probe = pvfp::testing::flat_field(
+            1, 1, grid, pvfp::testing::constant_weather(grid));
+        for (long s = 0; s < grid.total_steps(); ++s) {
+            auto& e = env[static_cast<std::size_t>(s)];
+            e.temp_air_c = rng.uniform(5.0, 35.0);
+            if (!probe.is_daylight(s)) {
+                if (s % 11 == 3) e.dhi = rng.uniform(1.0, 20.0);
+                continue;
+            }
+            if (s % 7 == 2) continue;  // dead daylight step
+            e.ghi = rng.uniform(50.0, 900.0);
+            e.dni = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 850.0);
+            e.dhi = rng.uniform(20.0, 300.0);
+        }
+    }
+
+    geo::HorizonOptions hopt;
+    hopt.azimuth_sectors = 24;
+    hopt.max_distance = 12.0;
+    geo::HorizonMap horizon(dsm, 2, 2, w, h, hopt);
+    geo::NormalMap normal_map;
+    if (normals) normal_map = geo::NormalMap::from_dsm(dsm, 2, 2, w, h);
+    Grid2D<unsigned char> mask(w, h, 1);
+    mask(6, 2) = 0;
+    return OracleSetup{
+        solar::IrradianceField(std::move(horizon), std::move(env), grid,
+                               deg2rad(30.0), deg2rad(170.0), config,
+                               std::move(normal_map)),
+        pvfp::testing::masked_area(mask)};
+}
+
+/// Cell-invariant (foldable) steps among those \p options samples.
+long folded_steps(const solar::IrradianceField& field,
+                  const SuitabilityOptions& options) {
+    long n = 0;
+    for (long s = 0; s < field.steps(); s += options.step_stride)
+        if ((!options.daylight_only || field.is_daylight(s)) &&
+            field.is_cell_invariant(s))
+            ++n;
+    return n;
+}
+
+/// The option grid of the oracle: daylight filter, stride, mean vs
+/// percentile, temperature correction, and bin count.
+std::vector<SuitabilityOptions> oracle_options() {
+    std::vector<SuitabilityOptions> grid;
+    for (const bool daylight_only : {false, true})
+        for (const long stride : {1L, 3L, 4L})
+            for (const bool use_mean : {false, true})
+                for (const bool t_corr : {true, false})
+                    for (const int bins : {8, 256}) {
+                        SuitabilityOptions options;
+                        options.daylight_only = daylight_only;
+                        options.step_stride = stride;
+                        options.use_mean = use_mean;
+                        options.temperature_correction = t_corr;
+                        options.bins = bins;
+                        grid.push_back(options);
+                    }
+    return grid;
+}
+
+std::string describe(const SuitabilityOptions& o) {
+    return "daylight_only=" + std::to_string(o.daylight_only) +
+           " stride=" + std::to_string(o.step_stride) +
+           " mean=" + std::to_string(o.use_mean) +
+           " t_corr=" + std::to_string(o.temperature_correction) +
+           " bins=" + std::to_string(o.bins);
+}
+
+TEST(Suitability, MatchesPerStepReference) {
+    struct LevelGuard {
+        ~LevelGuard() { set_simd_level_auto(); }
+    } guard;
+    for (const Weather weather :
+         {Weather::DayNight, Weather::PolarNight, Weather::PolarDay}) {
+        for (const bool normals : {false, true}) {
+            const OracleSetup setup = oracle_setup(weather, normals);
+            const auto& field = setup.field;
+            // Each case is the fold shape it claims to be.
+            const long folded = folded_steps(field, SuitabilityOptions{});
+            if (weather == Weather::PolarNight) {
+                ASSERT_EQ(folded, field.steps());
+            } else if (weather == Weather::PolarDay) {
+                ASSERT_EQ(folded, 0);
+            } else {
+                ASSERT_GT(folded, 0);
+                long lit_nights = 0;
+                for (long s = 0; s < field.steps(); ++s)
+                    if (!field.is_daylight(s) && !field.is_cell_invariant(s))
+                        ++lit_nights;
+                ASSERT_GT(lit_nights, 0);
+            }
+            for (const SuitabilityOptions& options : oracle_options()) {
+                const std::string tag =
+                    "weather=" + std::to_string(static_cast<int>(weather)) +
+                    " normals=" + std::to_string(normals) + " " +
+                    describe(options);
+                if (weather == Weather::PolarNight && options.daylight_only) {
+                    // No sampled step at all: both paths refuse.
+                    EXPECT_THROW(
+                        reference_suitability(field, setup.area, options),
+                        InvalidArgument);
+                    EXPECT_THROW(
+                        compute_suitability(field, setup.area, options),
+                        InvalidArgument);
+                    continue;
+                }
+                const SuitabilityResult ref =
+                    reference_suitability(field, setup.area, options);
+                for (const SimdLevel level :
+                     pvfp::testing::runnable_levels()) {
+                    set_simd_level(level);
+                    const SuitabilityResult got =
+                        compute_suitability(field, setup.area, options);
+                    const std::string at =
+                        tag + " level=" + simd_level_name(level);
+                    EXPECT_EQ(got.suitability, ref.suitability) << at;
+                    EXPECT_EQ(got.g_percentile, ref.g_percentile) << at;
+                    EXPECT_EQ(got.t_percentile, ref.t_percentile) << at;
+                }
+            }
+        }
+    }
 }
 
 }  // namespace

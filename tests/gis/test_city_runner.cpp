@@ -214,6 +214,17 @@ TEST(CityRunner, TelemetryOnOffAndThreadCountsGiveSameBytes) {
         << counters1;
     EXPECT_NE(counters1.find("span.city.roof=9"), std::string::npos)
         << counters1;
+    // Suitability folds the dark sampled steps once per roof; the fold
+    // and sweep counts are part of the invariant set above.
+    const std::string lines = "\n" + counters1;
+    const auto counter = [&](const std::string& name) {
+        const std::size_t at = lines.find("\n" + name + "=");
+        return at == std::string::npos
+                   ? 0L
+                   : std::stol(lines.substr(at + name.size() + 2));
+    };
+    EXPECT_GT(counter("core.suitability.folded_steps"), 0) << counters1;
+    EXPECT_GT(counter("core.suitability.swept_cell_steps"), 0) << counters1;
 #endif
 }
 

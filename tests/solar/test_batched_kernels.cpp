@@ -32,16 +32,8 @@ struct SimdLevelGuard {
     ~SimdLevelGuard() { set_simd_level_auto(); }
 };
 
-/// Every dispatch level this CPU can run: always Scalar, plus Avx2 and
-/// Avx512 when supported, so the per-level sweeps below cover the full
-/// tier ladder and skip un-runnable tiers silently (the dedicated
-/// Avx512 tests announce the skip).
-std::vector<SimdLevel> runnable_levels() {
-    std::vector<SimdLevel> levels{SimdLevel::Scalar};
-    if (cpu_supports_avx2()) levels.push_back(SimdLevel::Avx2);
-    if (cpu_supports_avx512()) levels.push_back(SimdLevel::Avx512);
-    return levels;
-}
+// The dedicated Avx512 tests below announce the skip of that tier.
+using pvfp::testing::runnable_levels;
 
 struct RandomFieldSpec {
     std::uint64_t seed = 1;
@@ -240,8 +232,9 @@ TEST(BatchedKernels, PackedPlanesMatchUnpackedSeries) {
             set_simd_level(level);
             for (int y = 0; y < field.height(); y += 2)
                 for (int x = 0; x < field.width(); x += 3) {
-                    field.cell_irradiance_packed(
-                        x, y, 0, field.packed_steps(), out.data());
+                    field.cell_irradiance_packed(field.daylight_pack(), x,
+                                                 y, 0, field.packed_steps(),
+                                                 out.data());
                     for (std::size_t k = 0; k < packed.size(); ++k)
                         ASSERT_EQ(out[k], field.cell_irradiance_unchecked(
                                               x, y, packed[k]))
@@ -251,6 +244,59 @@ TEST(BatchedKernels, PackedPlanesMatchUnpackedSeries) {
                 }
         }
     }
+}
+
+TEST(BatchedKernels, PackOfAnyStepListMatchesSeries) {
+    // pack_steps over an arbitrary sorted step list — strided, with
+    // night steps, or empty — swept by the packed kernel must equal
+    // cell_irradiance_series on the same steps bit for bit.
+    SimdLevelGuard guard;
+    for (const auto& spec : all_specs()) {
+        const auto field = random_field(spec);
+        std::vector<std::vector<long>> lists;
+        for (const long stride : {1L, 3L, 4L, 7L}) {
+            std::vector<long> strided;  // nights included
+            for (long s = stride / 2; s < field.steps(); s += stride)
+                strided.push_back(s);
+            lists.push_back(std::move(strided));
+        }
+        {
+            std::vector<long> nights;
+            for (long s = 0; s < field.steps(); ++s)
+                if (!field.is_daylight(s)) nights.push_back(s);
+            lists.push_back(std::move(nights));
+        }
+        lists.emplace_back();
+        for (const auto& steps : lists) {
+            const solar::StepPack pack = field.pack_steps(steps);
+            ASSERT_EQ(pack.size(), static_cast<long>(steps.size()));
+            std::vector<double> packed_out(steps.size());
+            std::vector<double> series_out(steps.size());
+            for (const SimdLevel level : runnable_levels()) {
+                set_simd_level(level);
+                for (int y = 0; y < field.height(); y += 2)
+                    for (int x = 0; x < field.width(); x += 3) {
+                        field.cell_irradiance_packed(pack, x, y, 0,
+                                                     pack.size(),
+                                                     packed_out.data());
+                        field.cell_irradiance_series(x, y, steps,
+                                                     series_out.data());
+                        ASSERT_EQ(packed_out, series_out)
+                            << "list of " << steps.size() << " steps, x="
+                            << x << " y=" << y
+                            << " level=" << simd_level_name(level);
+                    }
+            }
+        }
+    }
+    const auto field = random_field(RandomFieldSpec{});
+    const long bad[] = {0, field.steps()};
+    EXPECT_THROW(field.pack_steps(bad), InvalidArgument);
+    const long one[] = {1};
+    const solar::StepPack pack = field.pack_steps(one);
+    double out[2];
+    EXPECT_THROW(field.cell_irradiance_packed(pack, 0, 0, 0, 2, out),
+                 InvalidArgument);
 }
 
 TEST(BatchedKernels, SeriesDetectsContiguousDaylightRuns) {
@@ -328,13 +374,14 @@ TEST(BatchedKernels, PackedIndexMapsAreConsistent) {
     EXPECT_EQ(count, field.packed_steps());
     EXPECT_EQ(count, static_cast<long>(packed.size()));
     double out[1];
-    EXPECT_THROW(
-        field.cell_irradiance_packed(0, 0, 0, field.packed_steps() + 1, out),
-        InvalidArgument);
-    EXPECT_THROW(field.cell_irradiance_packed(0, 0, -1, 0, out),
+    const solar::StepPack& daylight = field.daylight_pack();
+    EXPECT_THROW(field.cell_irradiance_packed(daylight, 0, 0, 0,
+                                              field.packed_steps() + 1, out),
+                 InvalidArgument);
+    EXPECT_THROW(field.cell_irradiance_packed(daylight, 0, 0, -1, 0, out),
                  InvalidArgument);
     EXPECT_THROW(
-        field.cell_irradiance_packed(field.width(), 0, 0, 1, out),
+        field.cell_irradiance_packed(daylight, field.width(), 0, 0, 1, out),
         InvalidArgument);
 }
 
@@ -496,9 +543,15 @@ TEST(SimdDispatch, ForcedLevelsRoundTrip) {
     } else {
         EXPECT_THROW(set_simd_level(SimdLevel::Avx512), InvalidArgument);
     }
+    // Auto resolves to the widest runnable tier when PVFP_SIMD does not
+    // force one: clear it around the check (a CI step forcing a level
+    // runs this test too) and restore it after.
+    const char* forced = std::getenv("PVFP_SIMD");
+    const std::string saved = forced != nullptr ? forced : "";
+    unsetenv("PVFP_SIMD");
     set_simd_level_auto();
     const SimdLevel resolved = simd_level();
-    // Auto resolves to the widest runnable tier.
+    if (forced != nullptr) setenv("PVFP_SIMD", saved.c_str(), 1);
     if (cpu_supports_avx512())
         EXPECT_EQ(resolved, SimdLevel::Avx512);
     else if (cpu_supports_avx2())

@@ -10,8 +10,19 @@
 #include "pvfp/geo/suitable_area.hpp"
 #include "pvfp/solar/irradiance.hpp"
 #include "pvfp/util/grid2d.hpp"
+#include "pvfp/util/simd.hpp"
 
 namespace pvfp::testing {
+
+/// Every dispatch level this CPU can run: always Scalar, plus Avx2 and
+/// Avx512 when supported, so per-level sweeps cover the full tier ladder
+/// and skip un-runnable tiers silently.
+inline std::vector<SimdLevel> runnable_levels() {
+    std::vector<SimdLevel> levels{SimdLevel::Scalar};
+    if (cpu_supports_avx2()) levels.push_back(SimdLevel::Avx2);
+    if (cpu_supports_avx512()) levels.push_back(SimdLevel::Avx512);
+    return levels;
+}
 
 /// A fully-valid placement area of the given size (flat, 26 deg S roof).
 inline geo::PlacementArea flat_area(int width, int height,

@@ -2,7 +2,7 @@
 /// google-benchmark microbenchmarks of the pipeline's hot kernels:
 /// horizon ray-marching (the per-cell oracle vs the batched SIMD
 /// row-march kernels, per dispatch level), per-cell irradiance
-/// sampling, the batched SoA irradiance kernels (scalar and AVX-512
+/// sampling, the packed SoA irradiance kernel (scalar and AVX-512
 /// dispatch vs the per-cell scalar baseline), per-cell histogram
 /// statistics, panel aggregation, and the summed-area table.
 /// Benches take one arg per dispatch level that runs distinct code:
@@ -27,7 +27,6 @@
 #include "pvfp/geo/scene.hpp"
 #include "pvfp/pv/array.hpp"
 #include "pvfp/solar/irradiance.hpp"
-#include "pvfp/solar/irradiance_kernels.hpp"
 #include "pvfp/solar/sky_artifact.hpp"
 #include "pvfp/util/parallel.hpp"
 #include "pvfp/util/rng.hpp"
@@ -99,17 +98,12 @@ const core::PreparedScenario& toy_prepared() {
     return prepared;
 }
 
-/// Sampled daylight steps of the toy field (stride 4, the search-loop
-/// granularity).
-const std::vector<long>& toy_sampled_steps() {
-    static const std::vector<long> steps = [] {
-        const auto& field = toy_prepared().field;
-        std::vector<long> out;
-        for (long s = 0; s < field.steps(); s += 4)
-            if (field.is_daylight(s)) out.push_back(s);
-        return out;
-    }();
-    return steps;
+/// Sampled daylight axis of the toy field (stride 4, the search-loop
+/// granularity), packed once as the evaluators pack it.
+const core::DaylightAxis& toy_sampled_axis() {
+    static const core::DaylightAxis axis =
+        core::sample_daylight(toy_prepared().field, 4);
+    return axis;
 }
 
 /// Apply a bench arg (0 = scalar, 1 = AVX2, 2 = AVX-512) to the kernel
@@ -189,52 +183,11 @@ void BM_HorizonMapBatched(benchmark::State& state) {
 BENCHMARK(BM_HorizonMapBatched)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-/// Baseline: one field row filled through per-cell scalar calls — the
-/// pre-batching hot loop of compute_suitability / the footprint modes.
-void BM_IrradianceRowScalarCells(benchmark::State& state) {
-    const auto& field = toy_prepared().field;
-    const auto& steps = toy_sampled_steps();
-    std::vector<double> out(static_cast<std::size_t>(field.width()));
-    std::size_t n = 0;
-    int y = 0;
-    for (auto _ : state) {
-        const long s = steps[n++ % steps.size()];
-        for (int x = 0; x < field.width(); ++x)
-            out[static_cast<std::size_t>(x)] =
-                field.cell_irradiance_unchecked(x, y, s);
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-        y = (y + 1) % field.height();
-    }
-    state.SetItemsProcessed(state.iterations() * field.width());
-}
-BENCHMARK(BM_IrradianceRowScalarCells);
-
-/// Batched row kernel at a given dispatch level (0 scalar, 2 AVX-512).
-void BM_IrradianceRowKernel(benchmark::State& state) {
-    if (!apply_simd_arg(state)) return;
-    const auto& field = toy_prepared().field;
-    const auto& steps = toy_sampled_steps();
-    std::vector<double> out(static_cast<std::size_t>(field.width()));
-    std::size_t n = 0;
-    int y = 0;
-    for (auto _ : state) {
-        const long s = steps[n++ % steps.size()];
-        field.cell_irradiance_row(y, s, 0, field.width(), out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-        y = (y + 1) % field.height();
-    }
-    state.SetItemsProcessed(state.iterations() * field.width());
-    set_simd_level_auto();
-}
-BENCHMARK(BM_IrradianceRowKernel)->Arg(0)->Arg(2);
-
 /// Baseline: one cell's full sampled-step series through per-cell
 /// scalar calls — the pre-batching per-anchor series build.
 void BM_IrradianceSeriesScalarCells(benchmark::State& state) {
     const auto& field = toy_prepared().field;
-    const auto& steps = toy_sampled_steps();
+    const auto& steps = toy_sampled_axis().steps;
     std::vector<double> out(steps.size());
     int x = 0;
     for (auto _ : state) {
@@ -249,38 +202,40 @@ void BM_IrradianceSeriesScalarCells(benchmark::State& state) {
 }
 BENCHMARK(BM_IrradianceSeriesScalarCells);
 
-/// Batched series kernel at a given dispatch level (0 scalar, 2 AVX-512).
-void BM_IrradianceSeriesKernel(benchmark::State& state) {
+/// The packed kernel over the same sampled steps at a given dispatch
+/// level (0 scalar, 2 AVX-512).
+void BM_IrradiancePackedKernel(benchmark::State& state) {
     if (!apply_simd_arg(state)) return;
     const auto& field = toy_prepared().field;
-    const auto& steps = toy_sampled_steps();
-    std::vector<double> out(steps.size());
+    const auto& axis = toy_sampled_axis();
+    std::vector<double> out(axis.steps.size());
     int x = 0;
     for (auto _ : state) {
-        field.cell_irradiance_series(x, 1, steps, out.data());
+        field.cell_irradiance_packed(axis.pack, x, 1, 0, axis.size(),
+                                     out.data());
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
         x = (x + 1) % field.width();
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<long>(steps.size()));
+    state.SetItemsProcessed(state.iterations() * axis.size());
     set_simd_level_auto();
 }
-BENCHMARK(BM_IrradianceSeriesKernel)->Arg(0)->Arg(2);
+BENCHMARK(BM_IrradiancePackedKernel)->Arg(0)->Arg(2);
 
 /// Footprint-mean anchor series (the IncrementalEvaluator's per-anchor
-/// work) through the batch path, per dispatch level.
+/// work) over the packed sampled axis, per dispatch level.
 void BM_AnchorSeriesKernel(benchmark::State& state) {
     if (!apply_simd_arg(state)) return;
     const auto& prepared = toy_prepared();
-    const auto& steps = toy_sampled_steps();
+    const auto& axis = toy_sampled_axis();
+    const auto& steps = axis.steps;
     std::vector<double> out(steps.size());
     int x = 0;
     const int x_max = prepared.field.width() - prepared.geometry.k1;
     for (auto _ : state) {
         core::anchor_irradiance_series(
-            prepared.geometry, x, 0, prepared.field, steps,
-            core::ModuleIrradiance::FootprintMean, out.data());
+            prepared.geometry, x, 0, prepared.field, axis.pack, 0,
+            axis.size(), core::ModuleIrradiance::FootprintMean, out.data());
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
         x = (x + 1) % (x_max + 1);
@@ -291,68 +246,6 @@ void BM_AnchorSeriesKernel(benchmark::State& state) {
     set_simd_level_auto();
 }
 BENCHMARK(BM_AnchorSeriesKernel)->Arg(0)->Arg(2);
-
-/// All daylight steps of the toy field at stride 1 — the realistic
-/// (≈50% daylight) series workload of the evaluator shards and the
-/// suitability sweep, contiguous in the packed index.
-const std::vector<long>& toy_daylight_steps() {
-    static const std::vector<long> steps = [] {
-        const auto& field = toy_prepared().field;
-        std::vector<long> out;
-        for (long s = 0; s < field.steps(); ++s)
-            if (field.is_daylight(s)) out.push_back(s);
-        return out;
-    }();
-    return steps;
-}
-
-/// The pre-packing gather path on the full daylight series: the series
-/// kernel indexing the step planes through the per-step index list,
-/// night gaps and all (what cell_irradiance_series did for this
-/// workload before the daylight-packed planes landed).
-void BM_DaylightSeriesGather(benchmark::State& state) {
-    if (!apply_simd_arg(state)) return;
-    const auto& field = toy_prepared().field;
-    const auto& steps = toy_daylight_steps();
-    const solar::detail::FieldView view = field.view();
-    std::vector<double> out(steps.size());
-    int x = 0;
-    for (auto _ : state) {
-        if (state.range(0) == 2)
-            solar::detail::cell_series_avx512(view, x, 1, steps.data(),
-                                              steps.size(), out.data());
-        else
-            solar::detail::cell_series_scalar(view, x, 1, steps.data(),
-                                              steps.size(), out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-        x = (x + 1) % field.width();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<long>(steps.size()));
-    set_simd_level_auto();
-}
-BENCHMARK(BM_DaylightSeriesGather)->Arg(0)->Arg(2);
-
-/// The same workload through the public series entry, which detects the
-/// contiguous daylight run and takes the unit-stride packed kernel.
-void BM_DaylightSeriesPacked(benchmark::State& state) {
-    if (!apply_simd_arg(state)) return;
-    const auto& field = toy_prepared().field;
-    const auto& steps = toy_daylight_steps();
-    std::vector<double> out(steps.size());
-    int x = 0;
-    for (auto _ : state) {
-        field.cell_irradiance_series(x, 1, steps, out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-        x = (x + 1) % field.width();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<long>(steps.size()));
-    set_simd_level_auto();
-}
-BENCHMARK(BM_DaylightSeriesPacked)->Arg(0)->Arg(2);
 
 /// Year of 15-minute weather for the shared-sky prepare benches (the
 /// pvfp_serve cold-start workload shape).

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Bench-trajectory collector for the batched irradiance kernels: runs
+# Bench-trajectory collector for the packed irradiance kernel: runs
 # bench_micro_kernels' irradiance/anchor-series benchmarks in JSON mode
 # and appends one record per benchmark (tagged with the current commit)
 # to BENCH_kernels.json at the repo root, so speedup-vs-PR can be
@@ -21,7 +21,7 @@ fi
 
 commit="$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
-raw="$("$bench" --benchmark_filter='Irradiance|AnchorSeries|Daylight|SharedSky|Footprint|HorizonMap' \
+raw="$("$bench" --benchmark_filter='Irradiance|AnchorSeries|SharedSky|Footprint|HorizonMap' \
                 --benchmark_format=json --benchmark_min_time=0.2 \
                 2>/dev/null)"
 
@@ -61,18 +61,10 @@ def speedup(base, kernel):
 
 print(f"appended {len(by_name)} records at {commit} -> {out_path}")
 for base, kernel, label in [
-    ("BM_IrradianceRowScalarCells", "BM_IrradianceRowKernel/0",
-     "row kernel (scalar batch) vs per-cell scalar"),
-    ("BM_IrradianceRowScalarCells", "BM_IrradianceRowKernel/2",
-     "row kernel (avx512) vs per-cell scalar"),
-    ("BM_IrradianceSeriesScalarCells", "BM_IrradianceSeriesKernel/0",
-     "series kernel (scalar batch) vs per-cell scalar"),
-    ("BM_IrradianceSeriesScalarCells", "BM_IrradianceSeriesKernel/2",
-     "series kernel (avx512) vs per-cell scalar"),
-    ("BM_DaylightSeriesGather/0", "BM_DaylightSeriesPacked/0",
-     "daylight series packed-vs-gather (scalar)"),
-    ("BM_DaylightSeriesGather/2", "BM_DaylightSeriesPacked/2",
-     "daylight series packed-vs-gather (avx512)"),
+    ("BM_IrradianceSeriesScalarCells", "BM_IrradiancePackedKernel/0",
+     "packed kernel (scalar batch) vs per-cell scalar"),
+    ("BM_IrradianceSeriesScalarCells", "BM_IrradiancePackedKernel/2",
+     "packed kernel (avx512) vs per-cell scalar"),
     ("BM_SharedSkyPrepareReference", "BM_SharedSkyPrepare",
      "shared-sky prepare batched-vs-reference"),
     ("BM_FootprintMaskPerCell/10000", "BM_FootprintMaskScanline/10000",

@@ -11,23 +11,6 @@
 namespace pvfp::core {
 namespace {
 
-/// Sampled time steps per parallel shard.  Fixed (independent of the
-/// thread count) so the shard grid — and therefore the order in which
-/// partial energies are merged — is reproducible at any parallelism.
-constexpr long kStepsPerShard = 256;
-
-/// Unchecked core of module_irradiance: preconditions (module index in
-/// range, footprint inside the field window, step in range) are
-/// validated once at the evaluate_floorplan boundary.
-double module_irradiance_raw(const Floorplan& plan, int module_index,
-                             const solar::IrradianceField& field, long step,
-                             ModuleIrradiance mode) {
-    const ModulePlacement& m =
-        plan.modules[static_cast<std::size_t>(module_index)];
-    return anchor_irradiance_unchecked(plan.geometry, m.x, m.y, field, step,
-                                       mode);
-}
-
 /// Per-shard accumulator: the time-dependent slice of EvaluationResult.
 /// Shards cover disjoint step ranges and are merged in shard order, so
 /// the fold is associative-by-construction and bitwise-reproducible.
@@ -58,58 +41,72 @@ Partial merge(Partial acc, const Partial& p) {
 
 }  // namespace
 
+DaylightAxis sample_daylight(const solar::IrradianceField& field,
+                             long stride) {
+    check_arg(stride >= 1, "sample_daylight: stride must be >= 1");
+    const long n_steps = field.steps();
+    const long n_grid = (n_steps + stride - 1) / stride;
+    const double step_h = field.time_grid().step_hours();
+    DaylightAxis axis;
+    for (long k = 0; k < n_grid; ++k) {
+        if (k % kStepsPerShard == 0)
+            axis.shard_offsets.push_back(axis.size());
+        const long s = k * stride;
+        if (!field.is_daylight(s)) continue;
+        axis.steps.push_back(s);
+        // The sampled step stands in for the next `stride` real steps —
+        // except the last sample, which only represents the steps that
+        // actually remain in the horizon.
+        axis.dt_h.push_back(
+            step_h * static_cast<double>(std::min(stride, n_steps - s)));
+        axis.t_air.push_back(field.air_temperature(s));
+    }
+    axis.shard_offsets.push_back(axis.size());
+    axis.pack = field.pack_steps(axis.steps);
+    return axis;
+}
+
 double anchor_irradiance_unchecked(const PanelGeometry& g, int x, int y,
                                    const solar::IrradianceField& field,
                                    long step, ModuleIrradiance mode) {
     if (mode == ModuleIrradiance::AnchorCell) {
         return field.cell_irradiance_unchecked(x, y, step);
     }
-    // Footprint modes ride the batched row kernel one footprint row at a
-    // time (kMaxRow-wide spans for an unreachably wide module — chunking
-    // a row left to right does not change the fold order); the row
-    // values are folded in the scalar (yy, xx) cell order, so the result
-    // is bitwise-identical to the per-cell loop.
-    constexpr int kMaxRow = 256;
-    double buf[kMaxRow];
     if (mode == ModuleIrradiance::WorstCell) {
         double worst = std::numeric_limits<double>::infinity();
         for (int yy = y; yy < y + g.k2; ++yy)
-            for (int xx = x; xx < x + g.k1; xx += kMaxRow) {
-                const int xe = std::min(xx + kMaxRow, x + g.k1);
-                field.cell_irradiance_row(yy, step, xx, xe, buf);
-                for (int i = 0; i < xe - xx; ++i)
-                    worst = std::min(worst, buf[i]);
-            }
+            for (int xx = x; xx < x + g.k1; ++xx)
+                worst = std::min(
+                    worst, field.cell_irradiance_unchecked(xx, yy, step));
         return worst;
     }
     double acc = 0.0;
     for (int yy = y; yy < y + g.k2; ++yy)
-        for (int xx = x; xx < x + g.k1; xx += kMaxRow) {
-            const int xe = std::min(xx + kMaxRow, x + g.k1);
-            field.cell_irradiance_row(yy, step, xx, xe, buf);
-            for (int i = 0; i < xe - xx; ++i) acc += buf[i];
-        }
+        for (int xx = x; xx < x + g.k1; ++xx)
+            acc += field.cell_irradiance_unchecked(xx, yy, step);
     return acc / g.cell_count();
 }
 
 void anchor_irradiance_series(const PanelGeometry& g, int x, int y,
                               const solar::IrradianceField& field,
-                              std::span<const long> steps,
+                              const solar::StepPack& pack, long p0, long p1,
                               ModuleIrradiance mode, double* out) {
-    const std::size_t n = steps.size();
-    if (n == 0) return;
-    // Validate the step span once here, not once per footprint cell.
-    const long n_steps = field.steps();
-    for (const long s : steps)
-        check_arg(s >= 0 && s < n_steps,
-                  "anchor_irradiance_series: step out of range");
+    // Validate once here, not once per footprint cell.
+    check_arg(x >= 0 && y >= 0 && x + g.k1 <= field.width() &&
+                  y + g.k2 <= field.height(),
+              "anchor_irradiance_series: footprint outside the field "
+              "window");
+    check_arg(p0 >= 0 && p0 <= p1 && p1 <= pack.size(),
+              "anchor_irradiance_series: packed range out of range");
+    if (p0 == p1) return;
     if (mode == ModuleIrradiance::AnchorCell) {
-        field.cell_irradiance_series_unchecked(x, y, steps, out);
+        field.cell_irradiance_packed_unchecked(pack, x, y, p0, p1, out);
         return;
     }
-    // One batched series per footprint cell, folded elementwise in the
+    // One packed sweep per footprint cell, folded elementwise in the
     // scalar (yy, xx) cell order: per step this performs exactly the
     // additions / mins of anchor_irradiance_unchecked.
+    const std::size_t n = static_cast<std::size_t>(p1 - p0);
     static thread_local std::vector<double> cell_buf;
     cell_buf.resize(n);
     if (mode == ModuleIrradiance::WorstCell) {
@@ -117,7 +114,7 @@ void anchor_irradiance_series(const PanelGeometry& g, int x, int y,
                   std::numeric_limits<double>::infinity());
         for (int yy = y; yy < y + g.k2; ++yy)
             for (int xx = x; xx < x + g.k1; ++xx) {
-                field.cell_irradiance_series_unchecked(xx, yy, steps,
+                field.cell_irradiance_packed_unchecked(pack, xx, yy, p0, p1,
                                                        cell_buf.data());
                 for (std::size_t k = 0; k < n; ++k)
                     out[k] = std::min(out[k], cell_buf[k]);
@@ -127,7 +124,7 @@ void anchor_irradiance_series(const PanelGeometry& g, int x, int y,
     std::fill(out, out + n, 0.0);
     for (int yy = y; yy < y + g.k2; ++yy)
         for (int xx = x; xx < x + g.k1; ++xx) {
-            field.cell_irradiance_series_unchecked(xx, yy, steps,
+            field.cell_irradiance_packed_unchecked(pack, xx, yy, p0, p1,
                                                    cell_buf.data());
             for (std::size_t k = 0; k < n; ++k) out[k] += cell_buf[k];
         }
@@ -155,7 +152,8 @@ double module_irradiance(const Floorplan& plan, int module_index,
                   m.y + plan.geometry.k2 <= field.height(),
               "module_irradiance: module footprint outside the field "
               "window");
-    return module_irradiance_raw(plan, module_index, field, step, mode);
+    return anchor_irradiance_unchecked(plan.geometry, m.x, m.y, field, step,
+                                       mode);
 }
 
 EvaluationResult evaluate_floorplan(const Floorplan& plan,
@@ -194,65 +192,44 @@ EvaluationResult evaluate_floorplan(const Floorplan& plan,
     result.wiring_cost_usd = pv::wiring_cost(extra_lengths, options.wiring);
 
     const double k_th = field.config().thermal_k;
-    const double step_h = field.time_grid().step_hours();
-    const long n_steps = field.steps();
-    const long stride = options.step_stride;
-    const long n_samples = (n_steps + stride - 1) / stride;
+    const DaylightAxis axis = sample_daylight(field, options.step_stride);
 
-    // Shard the time axis over sampled steps; each shard accumulates its
-    // own Partial and the partials merge in shard order.  Scratch
-    // (sampled-step lists, the per-module irradiance series, the
-    // operating-point vector) comes from a pool so a shard reuses the
-    // previous shard's allocations instead of reallocating per shard.
+    // One map call per shard, each accumulating its own Partial; the
+    // partials merge in shard order.  Scratch (the per-module irradiance
+    // series, the operating-point vector) comes from a pool so a shard
+    // reuses the previous shard's allocations.
     struct ShardScratch {
-        std::vector<long> steps;
-        std::vector<double> dt_h;
-        std::vector<double> t_air;
-        std::vector<double> g;  ///< n_modules x steps.size(), module-major
+        std::vector<double> g;  ///< n_modules x shard samples, module-major
         std::vector<pv::OperatingPoint> points;
     };
     ScratchPool<ShardScratch> scratch_pool;
 
     const Partial total = parallel_reduce(
-        0L, n_samples, kStepsPerShard, Partial(static_cast<std::size_t>(n_strings)),
-        [&](long kb, long ke) {
+        0L, axis.shards(), 1L, Partial(static_cast<std::size_t>(n_strings)),
+        [&](long c, long) {
             Partial p(static_cast<std::size_t>(n_strings));
-            auto scratch = scratch_pool.acquire();
-            // Resolve the shard's sampled daylight steps once, then build
-            // each module's footprint-irradiance series through the
-            // batched kernels (bitwise-identical per step to the scalar
-            // per-cell walk this loop used to do).
-            scratch->steps.clear();
-            scratch->dt_h.clear();
-            scratch->t_air.clear();
-            for (long k = kb; k < ke; ++k) {
-                const long s = k * stride;
-                if (!field.is_daylight(s)) continue;
-                scratch->steps.push_back(s);
-                // The sampled step stands in for the next `stride` real
-                // steps — except the last sample, which only represents
-                // the steps that actually remain in the horizon.
-                scratch->dt_h.push_back(
-                    step_h *
-                    static_cast<double>(std::min(stride, n_steps - s)));
-                scratch->t_air.push_back(field.air_temperature(s));
-            }
-            const std::size_t nk = scratch->steps.size();
+            const long kb = axis.shard_offsets[static_cast<std::size_t>(c)];
+            const long ke =
+                axis.shard_offsets[static_cast<std::size_t>(c) + 1];
+            const std::size_t nk = static_cast<std::size_t>(ke - kb);
             if (nk == 0) return p;
+            auto scratch = scratch_pool.acquire();
             scratch->g.resize(static_cast<std::size_t>(n_modules) * nk);
             for (int i = 0; i < n_modules; ++i) {
                 const ModulePlacement& m =
                     plan.modules[static_cast<std::size_t>(i)];
                 anchor_irradiance_series(
-                    plan.geometry, m.x, m.y, field, scratch->steps,
+                    plan.geometry, m.x, m.y, field, axis.pack, kb, ke,
                     options.module_irradiance,
                     scratch->g.data() + static_cast<std::size_t>(i) * nk);
             }
             std::vector<pv::OperatingPoint>& points = scratch->points;
             points.resize(static_cast<std::size_t>(n_modules));
             for (std::size_t k = 0; k < nk; ++k) {
-                const double dt_h = scratch->dt_h[k];
-                const double t_air = scratch->t_air[k];
+                const double dt_h =
+                    axis.dt_h[static_cast<std::size_t>(kb) + k];
+                const double t_air =
+                    axis.t_air[static_cast<std::size_t>(kb) + k];
                 for (int i = 0; i < n_modules; ++i) {
                     points[static_cast<std::size_t>(i)] =
                         sample_operating_point(

@@ -10,8 +10,17 @@
 /// modules aggregate through the series-parallel min-rules (pv::array) and
 /// the sparse placement pays the per-string wiring loss R*Lextra*I^2
 /// (pv::wiring).  Integration uses the midpoint rule over the TimeGrid.
+///
+/// Every evaluation path (evaluate_floorplan, the IncrementalEvaluator,
+/// ideal_anchor_energies) samples its time axis through one function,
+/// sample_daylight: the stride-sampled daylight steps, their billed
+/// hours and air temperatures, the fixed shard grid the energy folds
+/// follow, and the steps packed once into a solar::StepPack.  Module
+/// irradiance series then come from anchor_irradiance_series sweeping a
+/// run of that pack through the field's one batched kernel
+/// (IrradianceField::cell_irradiance_packed).
 
-#include <span>
+#include <vector>
 
 #include "pvfp/core/layout.hpp"
 #include "pvfp/pv/wiring.hpp"
@@ -40,6 +49,36 @@ struct EvaluationOptions {
     /// horizon is not a multiple of k).  Exact at 1.
     long step_stride = 1;
 };
+
+/// Stride-grid samples per evaluation shard.  Fixed (independent of the
+/// thread count) so the shard grid — and therefore the order in which
+/// partial energies are merged — is reproducible at any parallelism.
+inline constexpr long kStepsPerShard = 256;
+
+/// The sampled daylight axis of an evaluation: every step_stride-th step
+/// of the field, night steps dropped.  Entry k of steps / dt_h / t_air /
+/// pack describes the same sample.
+struct DaylightAxis {
+    std::vector<long> steps;    ///< sampled daylight steps, ascending
+    /// Hours each sample is billed for: the stride, clamped for the
+    /// trailing interval when the horizon is not a multiple of it.
+    std::vector<double> dt_h;
+    std::vector<double> t_air;  ///< air temperature [deg C] per sample
+    /// Shard c covers stride-grid samples [c, c + 1) * kStepsPerShard;
+    /// its daylight samples are [shard_offsets[c], shard_offsets[c + 1]).
+    std::vector<long> shard_offsets;
+    solar::StepPack pack;  ///< the field's step planes over steps
+
+    long size() const { return static_cast<long>(steps.size()); }
+    long shards() const {
+        return static_cast<long>(shard_offsets.size()) - 1;
+    }
+};
+
+/// Build the sampled daylight axis of \p field at \p stride (>= 1,
+/// checked).
+DaylightAxis sample_daylight(const solar::IrradianceField& field,
+                             long stride);
 
 /// Per-string breakdown.
 struct StringEnergy {
@@ -80,9 +119,9 @@ double module_irradiance(const Floorplan& plan, int module_index,
                          const solar::IrradianceField& field, long step,
                          ModuleIrradiance mode);
 
-/// Footprint irradiance of a geometry-sized footprint anchored at (x, y):
-/// the exact per-module kernel of evaluate_floorplan, shared with the
-/// IncrementalEvaluator so both compute bitwise-identical values.
+/// Footprint irradiance of a geometry-sized footprint anchored at (x, y)
+/// at one step: the scalar oracle of anchor_irradiance_series, folding
+/// cell_irradiance_unchecked over the footprint cells in (y, x) order.
 /// Preconditions (footprint inside the field window, step in range) are
 /// debug-asserted only — validate at the call-site boundary.
 double anchor_irradiance_unchecked(const PanelGeometry& geometry, int x, int y,
@@ -90,16 +129,17 @@ double anchor_irradiance_unchecked(const PanelGeometry& geometry, int x, int y,
                                    long step, ModuleIrradiance mode);
 
 /// Batched footprint irradiance: out[k] = anchor_irradiance_unchecked of
-/// the footprint anchored at (x, y) at steps[k] — bitwise identical to
-/// the per-step scalar loop (it rides the field's batched series kernel
-/// and folds footprint cells in the scalar cell order).  This is the
-/// per-anchor hot path of the IncrementalEvaluator's series build, the
-/// evaluate_floorplan time shards, and ideal_anchor_energies.
-/// Preconditions as anchor_irradiance_unchecked; the step span is
-/// validated here, once, not per footprint cell.
+/// the footprint anchored at (x, y) at the step \p pack holds at index
+/// p0 + k, for k in [0, p1 - p0) — bitwise identical to that per-step
+/// loop (it sweeps the field's packed kernel once per footprint cell and
+/// folds the cells in the same order).  This is the per-anchor hot path
+/// of evaluate_floorplan's time shards, the IncrementalEvaluator's
+/// series build, and ideal_anchor_energies.  \p pack must come from
+/// \p field's pack_steps.  Validates the footprint and the packed range
+/// once (throws InvalidArgument).
 void anchor_irradiance_series(const PanelGeometry& geometry, int x, int y,
                               const solar::IrradianceField& field,
-                              std::span<const long> steps,
+                              const solar::StepPack& pack, long p0, long p1,
                               ModuleIrradiance mode, double* out);
 
 /// Operating point of one module seeing irradiance \p g at air temperature

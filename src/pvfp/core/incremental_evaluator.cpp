@@ -12,11 +12,6 @@
 namespace pvfp::core {
 namespace {
 
-/// Sampled time steps per shard — must match evaluate_floorplan's shard
-/// grid so the incremental chunk-order fold reproduces the full pass's
-/// floating-point summation tree.
-constexpr long kStepsPerShard = 256;
-
 /// Default anchor-cache memory budget when the caller passes capacity 0.
 constexpr std::size_t kCacheBudgetBytes = 128ull << 20;
 
@@ -38,11 +33,12 @@ IncrementalEvaluator::IncrementalEvaluator(
               "IncrementalEvaluator: step_stride must be >= 1");
     pv::check_topology(plan_.topology, plan_.module_count());
 
-    build_samples();
+    axis_ = sample_daylight(field, options_.step_stride);
 
     if (anchor_cache_capacity == 0) {
         const std::size_t bytes_per_series =
-            std::max<std::size_t>(1, samples_.size()) * 3 * sizeof(double);
+            static_cast<std::size_t>(std::max(1L, axis_.size())) * 3 *
+            sizeof(double);
         anchor_cache_capacity = std::clamp<std::size_t>(
             kCacheBudgetBytes / bytes_per_series, 16, 1 << 16);
     }
@@ -56,38 +52,6 @@ IncrementalEvaluator::IncrementalEvaluator(
         plan_.centers_m(area_.cell_size), plan_.topology, options_.wiring);
     totals_ = accumulate(module_ops_, extra_lengths_);
     stats_.full_passes = 1;
-}
-
-void IncrementalEvaluator::build_samples() {
-    const long n_steps = field_->steps();
-    const long stride = options_.step_stride;
-    const long n_grid = (n_steps + stride - 1) / stride;
-    n_chunks_ = (n_grid + kStepsPerShard - 1) / kStepsPerShard;
-    const double step_h = field_->time_grid().step_hours();
-    samples_.reserve(static_cast<std::size_t>(n_grid));
-    for (long k = 0; k < n_grid; ++k) {
-        const long s = k * stride;
-        if (!field_->is_daylight(s)) continue;
-        Sample smp;
-        smp.step = s;
-        smp.chunk = k / kStepsPerShard;
-        // Same trailing-interval clamp as evaluate_floorplan: the sampled
-        // step is billed only for the real steps that remain.
-        smp.dt_h =
-            step_h * static_cast<double>(std::min(stride, n_steps - s));
-        smp.t_air = field_->air_temperature(s);
-        samples_.push_back(smp);
-    }
-    sample_steps_.reserve(samples_.size());
-    for (const Sample& smp : samples_) sample_steps_.push_back(smp.step);
-    chunk_offsets_.assign(static_cast<std::size_t>(n_chunks_) + 1, 0);
-    // samples_ is in ascending chunk order: offsets by linear scan.
-    std::size_t k = 0;
-    for (long c = 0; c < n_chunks_; ++c) {
-        chunk_offsets_[static_cast<std::size_t>(c)] = k;
-        while (k < samples_.size() && samples_[k].chunk == c) ++k;
-    }
-    chunk_offsets_[static_cast<std::size_t>(n_chunks_)] = samples_.size();
 }
 
 std::shared_ptr<const IncrementalEvaluator::OpSeries>
@@ -108,37 +72,30 @@ IncrementalEvaluator::series_for_anchor(const ModulePlacement& anchor) {
 
     auto series = std::make_shared<OpSeries>();
     auto& ops = *series;
-    ops.power_w.resize(samples_.size());
-    ops.voltage_v.resize(samples_.size());
-    ops.current_a.resize(samples_.size());
+    const std::size_t n = static_cast<std::size_t>(axis_.size());
+    ops.power_w.resize(n);
+    ops.voltage_v.resize(n);
+    ops.current_a.resize(n);
     const double k_th = field_->config().thermal_k;
     const ModuleIrradiance mode = options_.module_irradiance;
-    // Disjoint per-sample writes on a fixed chunk grid: bitwise-identical
-    // at any thread count.  Each chunk pulls its footprint-irradiance
-    // span from the batched series kernel, then samples the empirical
-    // model point by point — the same g values, hence the same bits, as
-    // the former per-sample scalar walk.
-    parallel_for(
-        0, static_cast<long>(samples_.size()), kStepsPerShard,
-        [&](long b, long e) {
-            static thread_local std::vector<double> g_buf;
-            g_buf.resize(static_cast<std::size_t>(e - b));
-            anchor_irradiance_series(
-                plan_.geometry, anchor.x, anchor.y, *field_,
-                std::span<const long>(sample_steps_)
-                    .subspan(static_cast<std::size_t>(b),
-                             static_cast<std::size_t>(e - b)),
-                mode, g_buf.data());
-            for (long k = b; k < e; ++k) {
-                const Sample& smp = samples_[static_cast<std::size_t>(k)];
-                const pv::OperatingPoint op = sample_operating_point(
-                    model_, g_buf[static_cast<std::size_t>(k - b)],
-                    smp.t_air, k_th);
-                ops.power_w[static_cast<std::size_t>(k)] = op.power_w;
-                ops.voltage_v[static_cast<std::size_t>(k)] = op.voltage_v;
-                ops.current_a[static_cast<std::size_t>(k)] = op.current_a;
-            }
-        });
+    // Disjoint per-sample writes: bitwise-identical at any thread count.
+    // Each chunk sweeps its run of the packed axis for the footprint,
+    // then samples the empirical model point by point.
+    parallel_for(0, axis_.size(), kStepsPerShard, [&](long b, long e) {
+        static thread_local std::vector<double> g_buf;
+        g_buf.resize(static_cast<std::size_t>(e - b));
+        anchor_irradiance_series(plan_.geometry, anchor.x, anchor.y, *field_,
+                                 axis_.pack, b, e, mode, g_buf.data());
+        for (long k = b; k < e; ++k) {
+            const std::size_t ki = static_cast<std::size_t>(k);
+            const pv::OperatingPoint op = sample_operating_point(
+                model_, g_buf[static_cast<std::size_t>(k - b)],
+                axis_.t_air[ki], k_th);
+            ops.power_w[ki] = op.power_w;
+            ops.voltage_v[ki] = op.voltage_v;
+            ops.current_a[ki] = op.current_a;
+        }
+    });
     ++stats_.series_computed;
 
     cache_.emplace(key, series);
@@ -181,15 +138,15 @@ IncrementalEvaluator::Totals IncrementalEvaluator::accumulate(
     // the summation order (hence the bits) of the former scalar loop and
     // of evaluate_floorplan.
     const Partial total = parallel_reduce(
-        0L, n_chunks_, 1L, Partial(static_cast<std::size_t>(n_str)),
+        0L, axis_.shards(), 1L, Partial(static_cast<std::size_t>(n_str)),
         [&](long cb, long ce) {
             Partial p(static_cast<std::size_t>(n_str));
             auto sc = acc_scratch_.acquire();
             for (long c = cb; c < ce; ++c) {
-                const std::size_t kb =
-                    chunk_offsets_[static_cast<std::size_t>(c)];
-                const std::size_t ke =
-                    chunk_offsets_[static_cast<std::size_t>(c) + 1];
+                const std::size_t kb = static_cast<std::size_t>(
+                    axis_.shard_offsets[static_cast<std::size_t>(c)]);
+                const std::size_t ke = static_cast<std::size_t>(
+                    axis_.shard_offsets[static_cast<std::size_t>(c) + 1]);
                 const std::size_t nk = ke - kb;
                 if (nk == 0) continue;
                 constexpr double kInf =
@@ -267,7 +224,7 @@ IncrementalEvaluator::Totals IncrementalEvaluator::accumulate(
                 // Sample-order fold into the shard partial (the
                 // reduction the determinism contract pins).
                 for (std::size_t k = 0; k < nk; ++k) {
-                    const double dt_h = samples_[kb + k].dt_h;
+                    const double dt_h = axis_.dt_h[kb + k];
                     if (wiring_on) {
                         for (int j = 0; j < n_str; ++j)
                             p.string_wiring[static_cast<std::size_t>(j)] +=
@@ -499,42 +456,27 @@ std::vector<double> ideal_anchor_energies(
                   "ideal_anchor_energies: anchor footprint outside the "
                   "field window");
 
-    const long n_steps = field.steps();
-    const long stride = options.step_stride;
-    const long n_grid = (n_steps + stride - 1) / stride;
-    const double step_h = field.time_grid().step_hours();
     const double k_th = field.config().thermal_k;
-    std::vector<long> step_ids;
-    std::vector<double> dt_h;
-    std::vector<double> t_air;
-    step_ids.reserve(static_cast<std::size_t>(n_grid));
-    for (long k = 0; k < n_grid; ++k) {
-        const long s = k * stride;
-        if (!field.is_daylight(s)) continue;
-        step_ids.push_back(s);
-        dt_h.push_back(step_h *
-                       static_cast<double>(std::min(stride, n_steps - s)));
-        t_air.push_back(field.air_temperature(s));
-    }
+    const DaylightAxis axis = sample_daylight(field, options.step_stride);
 
     std::vector<double> out(anchors.size(), 0.0);
-    // Disjoint per-anchor writes, each a serial in-order sum over steps
-    // (fed by the batched series kernel): deterministic at any thread
-    // count and any SIMD level.
+    // Disjoint per-anchor writes, each a serial in-order sum over the
+    // packed axis: deterministic at any thread count and any SIMD level.
     parallel_for(0, static_cast<long>(anchors.size()), 8, [&](long b, long e) {
         static thread_local std::vector<double> g_buf;
-        g_buf.resize(step_ids.size());
+        g_buf.resize(axis.steps.size());
         for (long a = b; a < e; ++a) {
             const ModulePlacement& anchor =
                 anchors[static_cast<std::size_t>(a)];
             anchor_irradiance_series(geometry, anchor.x, anchor.y, field,
-                                     step_ids, options.module_irradiance,
+                                     axis.pack, 0, axis.size(),
+                                     options.module_irradiance,
                                      g_buf.data());
             double acc = 0.0;
-            for (std::size_t k = 0; k < step_ids.size(); ++k) {
+            for (std::size_t k = 0; k < axis.steps.size(); ++k) {
                 const pv::OperatingPoint op = sample_operating_point(
-                    model, g_buf[k], t_air[k], k_th);
-                acc += op.power_w * dt_h[k] / 1000.0;
+                    model, g_buf[k], axis.t_air[k], k_th);
+                acc += op.power_w * axis.dt_h[k] / 1000.0;
             }
             out[static_cast<std::size_t>(a)] = acc;
         }

@@ -25,10 +25,11 @@
 /// committed totals match a fresh evaluate_floorplan of the committed plan
 /// to <= 1e-9 kWh at every point of any move/swap/rollback sequence.  The
 /// per-sample aggregation replicates evaluate_floorplan's arithmetic — the
-/// same shared kernels (anchor_irradiance_unchecked,
-/// sample_operating_point), the same series/string accumulation order, the
-/// same fixed 256-sample chunk grid folded in chunk order — so results are
-/// also bitwise-identical at any thread count.
+/// same sampled axis (sample_daylight, built once in the constructor), the
+/// same shared kernels (anchor_irradiance_series, sample_operating_point),
+/// the same series/string accumulation order, the same fixed
+/// kStepsPerShard shard grid folded in shard order — so results are also
+/// bitwise-identical at any thread count.
 
 #include <memory>
 #include <optional>
@@ -140,14 +141,6 @@ private:
         std::vector<double> current_a;
     };
 
-    /// One daylight sampled step of the stride grid.
-    struct Sample {
-        long step = 0;     ///< real step index into the field
-        long chunk = 0;    ///< fixed 256-sample shard (thread-independent)
-        double dt_h = 0.0; ///< hours this sample is billed for
-        double t_air = 0.0;
-    };
-
     /// Reusable per-chunk buffers of accumulate(); pooled across
     /// proposals so a delta probe does not reallocate.
     struct AccScratch {
@@ -179,7 +172,6 @@ private:
         Totals totals;
     };
 
-    void build_samples();
     std::shared_ptr<const OpSeries> series_for_anchor(
         const ModulePlacement& anchor);
     Totals accumulate(
@@ -192,13 +184,9 @@ private:
     pv::EmpiricalModuleModel model_;
     EvaluationOptions options_;
 
-    std::vector<Sample> samples_;
-    /// samples_[k].step, flattened for the batched series kernels.
-    std::vector<long> sample_steps_;
-    /// samples_ index range of shard c is [chunk_offsets_[c],
-    /// chunk_offsets_[c+1]); shards are merged in this order.
-    std::vector<std::size_t> chunk_offsets_;
-    long n_chunks_ = 0;
+    /// The sampled daylight axis (steps, billing, shard grid, pack),
+    /// built once; every series and fold runs over it.
+    DaylightAxis axis_;
     mutable ScratchPool<AccScratch> acc_scratch_;
 
     std::vector<std::shared_ptr<const OpSeries>> module_ops_;

@@ -64,18 +64,14 @@ std::size_t prepared_scenario_bytes(const core::PreparedScenario& prepared) {
     // Per-cell surface normals (3 float planes over the window).
     bytes += static_cast<std::size_t>(horizon.cell_count()) * 3 *
              sizeof(float);
-    // Irradiance SoA step planes: 9 float planes, the daylight bytes,
-    // and the horizon-lerp precompute (2 x int32 + 1 x double).
+    // Irradiance SoA step planes, the field's one set over all steps:
+    // 9 float planes (7 kernel planes, air temperature, sun azimuth),
+    // the daylight bytes, and the horizon-lerp precompute (2 x int32 +
+    // 1 x double).  The step packs the evaluators sweep live only for
+    // one call and are not resident.
     bytes += static_cast<std::size_t>(prepared.field.steps()) *
              (9 * sizeof(float) + sizeof(std::uint8_t) +
               2 * sizeof(std::int32_t) + sizeof(double));
-    // Daylight-packed plane twins (7 float planes + 2 x int32 + 1 x
-    // double per daylight step) and the two step<->packed index maps.
-    bytes += static_cast<std::size_t>(prepared.field.packed_steps()) *
-             (7 * sizeof(float) + 2 * sizeof(std::int32_t) +
-              sizeof(double) + sizeof(long));
-    bytes += static_cast<std::size_t>(prepared.field.steps()) *
-             sizeof(long);
     // Suitability, G percentile, T percentile grids.
     bytes += (prepared.suitability.suitability.size() +
               prepared.suitability.g_percentile.size() +

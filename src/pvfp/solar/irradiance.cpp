@@ -65,7 +65,7 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
                       normals_.height() == horizon_.window_height(),
                   "IrradianceField: normal map does not match the window");
     }
-    // The batch kernels address horizon sector planes through int32
+    // The packed kernels address horizon sector planes through int32
     // offsets; a window large enough to overflow them would not fit in
     // memory anyway, but fail loudly rather than wrap.
     check_arg(horizon_.cell_count() *
@@ -134,7 +134,7 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
 
         // Horizon interpolation weights for this step's sun azimuth —
         // exactly the arithmetic of HorizonMap::horizon_at_unchecked, so
-        // the batch kernels reproduce the scalar lookup bit for bit.
+        // the packed kernels reproduce the scalar lookup bit for bit.
         const double pos =
             wrap_two_pi(static_cast<double>(sun_azimuth_[si])) / kTwoPi *
             sectors;
@@ -145,21 +145,6 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
         hor_frac[si] = pos - std::floor(pos);
     }
     });
-
-    // Daylight pack: every per-step quantity the series kernels touch,
-    // over daylight steps only, in step order.  A stride-1 daylight sweep
-    // (the evaluator shards) then maps to a contiguous packed run and
-    // runs unit-stride with no gathers — see
-    // cell_irradiance_series_unchecked.  ~50% of steps are daylight, so
-    // this costs about half a plane set of extra memory (accounted in
-    // serve::ResidentState's budget).
-    step_to_packed_.assign(n, -1);
-    for (std::size_t si = 0; si < n; ++si) {
-        if (daylight_[si] == 0) continue;
-        step_to_packed_[si] = static_cast<long>(packed_to_step_.size());
-        packed_to_step_.push_back(static_cast<long>(si));
-    }
-    daylight_pack_ = pack_steps(packed_to_step_);
 }
 
 StepPack IrradianceField::pack_steps(std::span<const long> steps) const {
@@ -219,32 +204,18 @@ double IrradianceField::cell_irradiance_unchecked(int x, int y,
     return g;
 }
 
-detail::FieldView IrradianceField::view() const {
-    return view(daylight_pack_);
-}
-
 detail::FieldView IrradianceField::view(const StepPack& pack) const {
     detail::FieldView v;
-    v.beam_eq = steps_.plane(StepPack::kBeamEq);
-    v.sky_diffuse = steps_.plane(StepPack::kSkyDiffuse);
-    v.reflected = steps_.plane(StepPack::kReflected);
-    v.sun_elevation = steps_.plane(StepPack::kSunElevation);
-    v.sun_e = steps_.plane(StepPack::kSunE);
-    v.sun_n = steps_.plane(StepPack::kSunN);
-    v.sun_u = steps_.plane(StepPack::kSunU);
-    v.hor_off0 = steps_.hor_off(0);
-    v.hor_off1 = steps_.hor_off(1);
-    v.hor_frac = steps_.hor_frac();
-    v.p_beam_eq = pack.plane(StepPack::kBeamEq);
-    v.p_sky_diffuse = pack.plane(StepPack::kSkyDiffuse);
-    v.p_reflected = pack.plane(StepPack::kReflected);
-    v.p_sun_elevation = pack.plane(StepPack::kSunElevation);
-    v.p_sun_e = pack.plane(StepPack::kSunE);
-    v.p_sun_n = pack.plane(StepPack::kSunN);
-    v.p_sun_u = pack.plane(StepPack::kSunU);
-    v.p_hor_off0 = pack.hor_off(0);
-    v.p_hor_off1 = pack.hor_off(1);
-    v.p_hor_frac = pack.hor_frac();
+    v.beam_eq = pack.plane(StepPack::kBeamEq);
+    v.sky_diffuse = pack.plane(StepPack::kSkyDiffuse);
+    v.reflected = pack.plane(StepPack::kReflected);
+    v.sun_elevation = pack.plane(StepPack::kSunElevation);
+    v.sun_e = pack.plane(StepPack::kSunE);
+    v.sun_n = pack.plane(StepPack::kSunN);
+    v.sun_u = pack.plane(StepPack::kSunU);
+    v.hor_off0 = pack.hor_off(0);
+    v.hor_off1 = pack.hor_off(1);
+    v.hor_frac = pack.hor_frac();
     v.angles = horizon_.angles_data();
     v.svf = horizon_.svf_data();
     if (has_normals_) {
@@ -257,72 +228,6 @@ detail::FieldView IrradianceField::view(const StepPack& pack) const {
     v.plane_u = plane_u_;
     v.width = width();
     return v;
-}
-
-void IrradianceField::cell_irradiance_row(int y, long s, int x0, int x1,
-                                          double* out) const {
-    check_step(s);
-    check_arg(y >= 0 && y < height() && x0 >= 0 && x0 <= x1 &&
-                  x1 <= width(),
-              "IrradianceField: row span out of range");
-    if (x0 == x1) return;
-    const detail::FieldView v = view();
-    if (simd_level() == SimdLevel::Avx512 &&
-        detail::avx512_kernels_compiled())
-        detail::cell_row_avx512(v, y, s, x0, x1, out);
-    else
-        detail::cell_row_scalar(v, y, s, x0, x1, out);
-}
-
-void IrradianceField::cell_irradiance_series(int x, int y,
-                                             std::span<const long> steps,
-                                             double* out) const {
-    check_arg(x >= 0 && x < width() && y >= 0 && y < height(),
-              "IrradianceField: cell out of range");
-    const long n_steps = this->steps();
-    for (const long s : steps)
-        check_arg(s >= 0 && s < n_steps,
-                  "IrradianceField: step out of range");
-    cell_irradiance_series_unchecked(x, y, steps, out);
-}
-
-void IrradianceField::cell_irradiance_series_unchecked(
-    int x, int y, std::span<const long> steps, double* out) const {
-    assert(x >= 0 && x < width() && y >= 0 && y < height());
-    if (steps.empty()) return;
-    // Packed fast path: when the step span is a contiguous daylight run
-    // (every daylight step between steps.front() and steps.back(), in
-    // order — exactly what the stride-1 evaluator shards and
-    // daylight-filtered suitability sampling produce), sweep the packed
-    // planes unit-stride instead of gathering.  The O(n) detection scan
-    // is a table walk, far cheaper than the gathers it replaces; any
-    // mismatch (night step first, strides, scrambled order) falls back
-    // to the gather kernel.
-    const long p0 = step_to_packed_[static_cast<std::size_t>(steps[0])];
-    if (p0 >= 0) {
-        bool contiguous = true;
-        for (std::size_t k = 1; k < steps.size(); ++k) {
-            if (step_to_packed_[static_cast<std::size_t>(steps[k])] !=
-                p0 + static_cast<long>(k)) {
-                contiguous = false;
-                break;
-            }
-        }
-        if (contiguous) {
-            cell_irradiance_packed_unchecked(
-                daylight_pack_, x, y, p0,
-                p0 + static_cast<long>(steps.size()), out);
-            return;
-        }
-    }
-    const detail::FieldView v = view();
-    if (simd_level() == SimdLevel::Avx512 &&
-        detail::avx512_kernels_compiled())
-        detail::cell_series_avx512(v, x, y, steps.data(), steps.size(),
-                                   out);
-    else
-        detail::cell_series_scalar(v, x, y, steps.data(), steps.size(),
-                                   out);
 }
 
 void IrradianceField::cell_irradiance_packed(const StepPack& pack, int x,

@@ -18,21 +18,16 @@
 ///
 /// Per-step state is stored as structure-of-arrays planes (one
 /// contiguous array per physical quantity) and the horizon interpolation
-/// weights (sector pair + fraction, fixed per step) are precomputed, so
-/// the two batched entry points — cell_irradiance_row (fixed step, span
-/// of cells) and cell_irradiance_series (fixed cell, span of steps) —
-/// run as branch-free SIMD-friendly loops.  Both are *bitwise identical*
-/// to the scalar cell_irradiance_unchecked per cell, at any SIMD level
-/// (see util/simd.hpp for the dispatch contract).
-///
-/// Any step list can be *packed*: pack_steps() copies the per-step planes
-/// of the listed steps into a StepPack, contiguous in list order, and
-/// cell_irradiance_packed sweeps a pack unit-stride — no gathers, no
-/// lanes for unlisted steps.  The field keeps one pack of its own, over
-/// its daylight steps: cell_irradiance_series detects contiguous daylight
-/// runs (the stride-1 evaluator sweeps) and reads it, and
-/// packed_to_step()/packed_index() map between the two step domains.
-/// compute_suitability packs its stride-sampled axis once per call.
+/// weights (sector pair + fraction, fixed per step) are precomputed.
+/// The one batched entry point sweeps a *packed* step axis: pack_steps()
+/// copies the per-step planes of any step list into a StepPack,
+/// contiguous in list order, and cell_irradiance_packed sweeps a pack
+/// unit-stride for one cell — no gathers, no lanes for unlisted steps —
+/// as a branch-free SIMD-friendly loop.  It is *bitwise identical* to the
+/// scalar cell_irradiance_unchecked per step, at any SIMD level (see
+/// util/simd.hpp for the dispatch contract).  Every batched caller
+/// (compute_suitability, evaluate_floorplan, the IncrementalEvaluator,
+/// ideal_anchor_energies) packs its sampled axis once per call.
 
 #include <cassert>
 #include <cstdint>
@@ -61,10 +56,10 @@ struct FieldConfig {
     double thermal_k = 1.0 / 30.0;
 };
 
-/// The per-step planes the series kernels read, over a list of steps:
+/// The per-step planes the packed kernel reads, over a list of steps:
 /// entry k holds bitwise copies of the values of step steps[k], so a
-/// kernel sweeping a pack reproduces the unpacked series bit for bit.
-/// The field keeps its own planes over all its steps in one, and
+/// kernel sweeping a pack reproduces the scalar per-step values bit for
+/// bit.  The field keeps its own planes over all its steps in one, and
 /// IrradianceField::pack_steps builds packs over any step list; a pack is
 /// only valid with the field that built it.
 ///
@@ -127,11 +122,13 @@ private:
 
 namespace detail {
 
-/// Raw pointer view of the field's SoA planes, consumed by the scalar
-/// and AVX-512 batch kernels (irradiance_kernels.hpp).  Pointers stay valid
-/// for the lifetime of the owning IrradianceField.
+/// Raw pointer view of one StepPack's planes plus the field's cell
+/// planes, consumed by the scalar and AVX-512 packed kernels
+/// (irradiance_kernels.hpp).  Pointers stay valid while both the owning
+/// IrradianceField and the pack live.
 struct FieldView {
-    // Step-indexed planes (one entry per time step).
+    // Packed step planes (entry k = the pack's k-th step), read
+    // unit-stride: bitwise copies of the field's step planes.
     const float* beam_eq = nullptr;
     const float* sky_diffuse = nullptr;
     const float* reflected = nullptr;
@@ -139,26 +136,12 @@ struct FieldView {
     const float* sun_e = nullptr;
     const float* sun_n = nullptr;
     const float* sun_u = nullptr;
-    /// Horizon interpolation per step: angle-plane offsets of the two
-    /// sectors bracketing the sun azimuth (already multiplied by the
+    /// Horizon interpolation per packed step: angle-plane offsets of the
+    /// two sectors bracketing the sun azimuth (already multiplied by the
     /// cell count) and the interpolation fraction.
     const std::int32_t* hor_off0 = nullptr;
     const std::int32_t* hor_off1 = nullptr;
     const double* hor_frac = nullptr;
-    // Packed step planes: one StepPack's planes (the field's daylight
-    // pack, or the pack the view was made for), read unit-stride by the
-    // packed kernels.  Values are bitwise copies of the step planes above
-    // (the packed kernels recompute nothing).
-    const float* p_beam_eq = nullptr;
-    const float* p_sky_diffuse = nullptr;
-    const float* p_reflected = nullptr;
-    const float* p_sun_elevation = nullptr;
-    const float* p_sun_e = nullptr;
-    const float* p_sun_n = nullptr;
-    const float* p_sun_u = nullptr;
-    const std::int32_t* p_hor_off0 = nullptr;
-    const std::int32_t* p_hor_off1 = nullptr;
-    const double* p_hor_frac = nullptr;
     // Cell-indexed planes (row-major over the window).
     const float* angles = nullptr;  ///< sector-major horizon planes
     const float* svf = nullptr;
@@ -219,25 +202,6 @@ public:
         return daylight_[static_cast<std::size_t>(s)] != 0;
     }
 
-    /// The step planes packed over the daylight steps, in step order.
-    /// cell_irradiance_series_unchecked sweeps it automatically when its
-    /// step span is a contiguous daylight run (the stride-1 evaluator
-    /// sweeps), so callers only pass it to cell_irradiance_packed when
-    /// they already think in packed indices.
-    const StepPack& daylight_pack() const { return daylight_pack_; }
-
-    /// Number of daylight steps — the length of the daylight pack.
-    long packed_steps() const { return daylight_pack_.size(); }
-
-    /// Original step index of packed index \p p (ascending in p).
-    std::span<const long> packed_to_step() const { return packed_to_step_; }
-
-    /// Packed index of step \p s, or -1 when \p s is a night step.
-    long packed_index(long s) const {
-        check_step(s);
-        return step_to_packed_[static_cast<std::size_t>(s)];
-    }
-
     /// True when step \p s puts the same G on every cell: no beam reaches
     /// any cell (beam_eq <= 0 or the sun at or below the horizon) and the
     /// sky-diffuse plane is zero, so G = reflected + svf * 0.  Exact for
@@ -273,48 +237,21 @@ public:
 
     /// Unchecked fast path of cell_irradiance for inner loops that have
     /// already validated their iteration domain once at the boundary
-    /// (evaluator, suitability).  Precondition (debug-asserted): cell
-    /// inside the window and 0 <= s < steps().
+    /// (the anchor oracle, suitability's folded steps).  Precondition
+    /// (debug-asserted): cell inside the window and 0 <= s < steps().
     double cell_irradiance_unchecked(int x, int y, long s) const;
-
-    /// Batched row kernel: out[i] = cell_irradiance of cell (x0+i, y) at
-    /// step \p s for i in [0, x1-x0).  Bitwise identical to calling
-    /// cell_irradiance_unchecked per cell, at any SIMD level; validates
-    /// the row, span, and step once (throws InvalidArgument).  This is
-    /// the fixed-step path of the footprint modes of
-    /// anchor_irradiance_unchecked.
-    void cell_irradiance_row(int y, long s, int x0, int x1,
-                             double* out) const;
-
-    /// Batched series kernel: out[k] = cell_irradiance of cell (x, y) at
-    /// steps[k].  Bitwise identical to the scalar loop at any SIMD
-    /// level; validates the cell and every step once (throws
-    /// InvalidArgument).  This is the fixed-cell hot path of the
-    /// IncrementalEvaluator's per-anchor series build.
-    void cell_irradiance_series(int x, int y, std::span<const long> steps,
-                                double* out) const;
-
-    /// Unchecked fast path of cell_irradiance_series for callers that
-    /// validated the cell and step span once at their own boundary
-    /// (anchor_irradiance_series sweeping a footprint).
-    /// Preconditions (debug-asserted): cell inside the window, every
-    /// steps[k] in [0, steps()).
-    void cell_irradiance_series_unchecked(int x, int y,
-                                          std::span<const long> steps,
-                                          double* out) const;
 
     /// Pack the per-step planes over \p steps (any list of steps in
     /// range, typically a sorted sampled axis): entry k of the result is
-    /// step steps[k].  The field's own daylight pack is built by this
-    /// routine.  Validates every step (throws InvalidArgument).
+    /// step steps[k].  Validates every step (throws InvalidArgument).
     StepPack pack_steps(std::span<const long> steps) const;
 
-    /// Packed series kernel: out[k] = cell_irradiance of cell (x, y) at
-    /// the step \p pack holds at index p0 + k, for k in [0, p1 - p0) —
-    /// the gather-free unit-stride sweep.  \p pack must come from this
-    /// field's pack_steps.  Bitwise identical to cell_irradiance_series
-    /// on the corresponding original steps at any SIMD level.  Validates
-    /// the cell and packed range (throws InvalidArgument).
+    /// The batched kernel: out[k] = cell_irradiance of cell (x, y) at the
+    /// step \p pack holds at index p0 + k, for k in [0, p1 - p0) — the
+    /// gather-free unit-stride sweep.  \p pack must come from this
+    /// field's pack_steps.  Bitwise identical to
+    /// cell_irradiance_unchecked on the packed steps at any SIMD level.
+    /// Validates the cell and packed range (throws InvalidArgument).
     void cell_irradiance_packed(const StepPack& pack, int x, int y, long p0,
                                 long p1, double* out) const;
 
@@ -335,15 +272,10 @@ public:
     /// Yearly unshaded plane-of-array insolation [kWh/m^2] (diagnostics).
     double unshaded_insolation_kwh_m2() const;
 
-    /// Raw SoA plane view consumed by the batched kernels
-    /// (irradiance_kernels.hpp).  Internal surface, exposed for the
-    /// kernel micro-benchmarks and differential tests; pointers are
-    /// invalidated by destroying the field.  The packed planes are the
-    /// daylight pack's.
-    detail::FieldView view() const;
-
 private:
-    /// view() with the packed planes of \p pack.
+    /// Raw SoA plane view of \p pack and the cell planes, consumed by
+    /// the packed kernels (irradiance_kernels.hpp); pointers are
+    /// invalidated by destroying the field or the pack.
     detail::FieldView view(const StepPack& pack) const;
 
     /// Validating step guard backing the public per-step methods.
@@ -364,20 +296,15 @@ private:
     double plane_n_ = 0.0;
     double plane_u_ = 1.0;
 
-    /// The kernel-read per-step planes over all steps (the identity
-    /// pack), plus the per-step values only the scalar paths read.
+    /// The per-step planes over all steps (the identity pack: what
+    /// pack_steps copies from and the scalar path reads), plus the
+    /// per-step values only the scalar paths read.
     /// steps_'s horizon interpolation replicates
     /// HorizonMap::horizon_at_unchecked bit for bit.
     StepPack steps_;
     std::vector<float> temp_air_;
     std::vector<float> sun_azimuth_;
     std::vector<std::uint8_t> daylight_;
-    /// steps_ packed over the daylight steps, in step order, plus the
-    /// index maps between the two domains.
-    /// step_to_packed_ is -1 on night steps.
-    StepPack daylight_pack_;
-    std::vector<long> packed_to_step_;
-    std::vector<long> step_to_packed_;
 };
 
 }  // namespace pvfp::solar

@@ -1,17 +1,18 @@
 /// \file irradiance_avx512.cpp
-/// Hand-written AVX-512 twins of the scalar batch kernels, compiled
+/// Hand-written AVX-512 twins of the scalar packed irradiance kernel and
+/// the suitability binning, compiled
 /// with per-function target("avx512f,avx512vl") so the binary stays
 /// portable; runtime dispatch (util/simd.hpp) only routes here after
 /// cpu_supports_avx512() has confirmed both subsets.
 ///
 /// Eight double lanes per iteration, and masked loads/stores on the
 /// final partial vector, so there is *no scalar tail loop* — short
-/// spans (the 1-31-step evaluator shard remainders, narrow footprint
-/// rows) run entirely in vector code.  This is the only intrinsics twin
-/// of the irradiance kernels; the avx2 level runs the scalar loops.
+/// packed runs (the tails of sparse evaluator shards) run entirely in
+/// vector code.  This is the only intrinsics twin of the irradiance
+/// kernel; the avx2 level runs the scalar loops.
 ///
 /// Bitwise contract: elementwise mul/add/sub only — never FMA — in
-/// exactly the scalar kernels' association.  The masked beam term uses
+/// exactly the scalar kernel's association.  The masked beam term uses
 /// _mm512_maskz_mul_pd (a +0.0 in dark lanes), which matches the scalar
 /// `? : 0.0` because the base term is always >= +0.0, so base + (+0.0)
 /// is a bitwise no-op.  Per-cell-normal cosi stays in float lanes and
@@ -53,183 +54,9 @@ PVFP_AVX512 inline __m512d load8_ps_pd(__mmask8 m, const float* p) {
 
 }  // namespace
 
-PVFP_AVX512 void cell_row_avx512(const FieldView& f, int y, long s, int x0,
-                                 int x1, double* out) {
-    const std::size_t si = static_cast<std::size_t>(s);
-    const std::size_t n = static_cast<std::size_t>(x1 - x0);
-    const float elev_f = f.sun_elevation[si];
-    const bool beam_on =
-        f.beam_eq[si] > 0.0f && static_cast<double>(elev_f) > 0.0;
-
-    const long ci0 = static_cast<long>(y) * f.width + x0;
-    const float* svf = f.svf + ci0;
-    const __m512d refl_v = _mm512_set1_pd(f.reflected[si]);
-    const __m512d sky_v = _mm512_set1_pd(f.sky_diffuse[si]);
-
-    const bool uniform = f.norm_e == nullptr;
-    double cosi_u = 0.0;
-    if (uniform) {
-        cosi_u = f.plane_e * static_cast<double>(f.sun_e[si]) +
-                 f.plane_n * static_cast<double>(f.sun_n[si]) +
-                 f.plane_u * static_cast<double>(f.sun_u[si]);
-    }
-
-    if (!beam_on || (uniform && !(cosi_u > 0.0))) {
-        // No beam contribution anywhere in the row: base term only.
-        for (std::size_t i = 0; i < n; i += 8) {
-            const __mmask8 m = tail_mask(n - i);
-            const __m512d base = _mm512_add_pd(
-                refl_v, _mm512_mul_pd(load8_ps_pd(m, svf + i), sky_v));
-            _mm512_mask_storeu_pd(out + i, m, base);
-        }
-        return;
-    }
-
-    const __m512d beam_v = _mm512_set1_pd(f.beam_eq[si]);
-    const __m512d elev_v = _mm512_set1_pd(elev_f);
-    const __m512d frac_v = _mm512_set1_pd(f.hor_frac[si]);
-    const __m512d zero = _mm512_setzero_pd();
-    const float* a0p = f.angles + f.hor_off0[si] + ci0;
-    const float* a1p = f.angles + f.hor_off1[si] + ci0;
-
-    if (uniform) {
-        const __m512d add_v = _mm512_mul_pd(beam_v, _mm512_set1_pd(cosi_u));
-        for (std::size_t i = 0; i < n; i += 8) {
-            const __mmask8 m = tail_mask(n - i);
-            const __m512d base = _mm512_add_pd(
-                refl_v, _mm512_mul_pd(load8_ps_pd(m, svf + i), sky_v));
-            const __m512d a0 = load8_ps_pd(m, a0p + i);
-            const __m512d a1 = load8_ps_pd(m, a1p + i);
-            const __m512d h = _mm512_add_pd(
-                a0, _mm512_mul_pd(_mm512_sub_pd(a1, a0), frac_v));
-            const __mmask8 lit = _mm512_cmp_pd_mask(elev_v, h, _CMP_GE_OQ);
-            const __m512d add = _mm512_maskz_mov_pd(lit, add_v);
-            _mm512_mask_storeu_pd(out + i, m, _mm512_add_pd(base, add));
-        }
-        return;
-    }
-
-    const __m256 se_v = _mm256_set1_ps(f.sun_e[si]);
-    const __m256 sn_v = _mm256_set1_ps(f.sun_n[si]);
-    const __m256 su_v = _mm256_set1_ps(f.sun_u[si]);
-    const float* ne = f.norm_e + ci0;
-    const float* nn = f.norm_n + ci0;
-    const float* nu = f.norm_u + ci0;
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __mmask8 m = tail_mask(n - i);
-        const __m512d base = _mm512_add_pd(
-            refl_v, _mm512_mul_pd(load8_ps_pd(m, svf + i), sky_v));
-        const __m512d a0 = load8_ps_pd(m, a0p + i);
-        const __m512d a1 = load8_ps_pd(m, a1p + i);
-        const __m512d h = _mm512_add_pd(
-            a0, _mm512_mul_pd(_mm512_sub_pd(a1, a0), frac_v));
-        // cosi in float lanes — the scalar path's float arithmetic —
-        // widened only for the compare and the beam product.
-        const __m256 cosi_ps = _mm256_add_ps(
-            _mm256_add_ps(
-                _mm256_mul_ps(_mm256_maskz_loadu_ps(m, ne + i), se_v),
-                _mm256_mul_ps(_mm256_maskz_loadu_ps(m, nn + i), sn_v)),
-            _mm256_mul_ps(_mm256_maskz_loadu_ps(m, nu + i), su_v));
-        const __m512d cosi = _mm512_cvtps_pd(cosi_ps);
-        const __mmask8 lit = static_cast<__mmask8>(
-            _mm512_cmp_pd_mask(elev_v, h, _CMP_GE_OQ) &
-            _mm512_cmp_pd_mask(cosi, zero, _CMP_GT_OQ));
-        const __m512d add = _mm512_maskz_mul_pd(lit, beam_v, cosi);
-        _mm512_mask_storeu_pd(out + i, m, _mm512_add_pd(base, add));
-    }
-}
-
-PVFP_AVX512 void cell_series_avx512(const FieldView& f, int x, int y,
-                                    const long* steps, std::size_t n,
-                                    double* out) {
-    const long ci = static_cast<long>(y) * f.width + x;
-    const float* angles_cell = f.angles + ci;
-    const __m512d svf_v = _mm512_set1_pd(f.svf[ci]);
-    const __m512d zero = _mm512_setzero_pd();
-    const __m256 zero_ps = _mm256_setzero_ps();
-    const __m256i zero_epi32 = _mm256_setzero_si256();
-    const __m512d zero_pd = _mm512_setzero_pd();
-
-    const bool uniform = f.norm_e == nullptr;
-    __m256 ne_v{}, nn_v{}, nu_v{};
-    __m512d pe_v{}, pn_v{}, pu_v{};
-    if (uniform) {
-        pe_v = _mm512_set1_pd(f.plane_e);
-        pn_v = _mm512_set1_pd(f.plane_n);
-        pu_v = _mm512_set1_pd(f.plane_u);
-    } else {
-        ne_v = _mm256_set1_ps(f.norm_e[ci]);
-        nn_v = _mm256_set1_ps(f.norm_n[ci]);
-        nu_v = _mm256_set1_ps(f.norm_u[ci]);
-    }
-
-    for (std::size_t k = 0; k < n; k += 8) {
-        const __mmask8 m = tail_mask(n - k);
-        // Masked index load: masked-off lanes hold index 0, but every
-        // gather below is masked with m too, so those lanes are never
-        // dereferenced.
-        const __m512i idx = _mm512_maskz_loadu_epi64(m, steps + k);
-        const __m512d refl = _mm512_cvtps_pd(
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.reflected, 4));
-        const __m512d sky = _mm512_cvtps_pd(
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.sky_diffuse, 4));
-        const __m512d base =
-            _mm512_add_pd(refl, _mm512_mul_pd(svf_v, sky));
-
-        const __m512d beam = _mm512_cvtps_pd(
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.beam_eq, 4));
-        const __m512d elev = _mm512_cvtps_pd(
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.sun_elevation, 4));
-        const __m512d frac =
-            _mm512_mask_i64gather_pd(zero_pd, m, idx, f.hor_frac, 8);
-        const __m256i off0 = _mm512_mask_i64gather_epi32(
-            zero_epi32, m, idx, reinterpret_cast<const int*>(f.hor_off0),
-            4);
-        const __m256i off1 = _mm512_mask_i64gather_epi32(
-            zero_epi32, m, idx, reinterpret_cast<const int*>(f.hor_off1),
-            4);
-        const __m512d a0 = _mm512_cvtps_pd(
-            _mm256_mmask_i32gather_ps(zero_ps, m, off0, angles_cell, 4));
-        const __m512d a1 = _mm512_cvtps_pd(
-            _mm256_mmask_i32gather_ps(zero_ps, m, off1, angles_cell, 4));
-        const __m512d h = _mm512_add_pd(
-            a0, _mm512_mul_pd(_mm512_sub_pd(a1, a0), frac));
-
-        const __m256 se_ps =
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.sun_e, 4);
-        const __m256 sn_ps =
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.sun_n, 4);
-        const __m256 su_ps =
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.sun_u, 4);
-        __m512d cosi;
-        if (uniform) {
-            cosi = _mm512_add_pd(
-                _mm512_add_pd(
-                    _mm512_mul_pd(pe_v, _mm512_cvtps_pd(se_ps)),
-                    _mm512_mul_pd(pn_v, _mm512_cvtps_pd(sn_ps))),
-                _mm512_mul_pd(pu_v, _mm512_cvtps_pd(su_ps)));
-        } else {
-            const __m256 cosi_ps = _mm256_add_ps(
-                _mm256_add_ps(_mm256_mul_ps(ne_v, se_ps),
-                              _mm256_mul_ps(nn_v, sn_ps)),
-                _mm256_mul_ps(nu_v, su_ps));
-            cosi = _mm512_cvtps_pd(cosi_ps);
-        }
-
-        const __mmask8 lit = static_cast<__mmask8>(
-            _mm512_cmp_pd_mask(beam, zero, _CMP_GT_OQ) &
-            _mm512_cmp_pd_mask(elev, zero, _CMP_GT_OQ) &
-            _mm512_cmp_pd_mask(elev, h, _CMP_GE_OQ) &
-            _mm512_cmp_pd_mask(cosi, zero, _CMP_GT_OQ));
-        const __m512d add = _mm512_maskz_mul_pd(lit, beam, cosi);
-        _mm512_mask_storeu_pd(out + k, m, _mm512_add_pd(base, add));
-    }
-}
-
 PVFP_AVX512 void cell_packed_avx512(const FieldView& f, int x, int y,
                                     long p0, long p1, double* out) {
-    // Unit-stride twin of cell_series_avx512 over the packed planes:
-    // contiguous masked loads everywhere except the per-cell horizon
+    // Contiguous masked loads everywhere except the per-cell horizon
     // angle lookups, which stay (masked) gathers by sector offset.
     const long ci = static_cast<long>(y) * f.width + x;
     const float* angles_cell = f.angles + ci;
@@ -237,16 +64,16 @@ PVFP_AVX512 void cell_packed_avx512(const FieldView& f, int x, int y,
     const __m512d zero = _mm512_setzero_pd();
     const __m256 zero_ps = _mm256_setzero_ps();
     const std::size_t n = static_cast<std::size_t>(p1 - p0);
-    const float* beam_p = f.p_beam_eq + p0;
-    const float* sky_p = f.p_sky_diffuse + p0;
-    const float* refl_p = f.p_reflected + p0;
-    const float* elev_p = f.p_sun_elevation + p0;
-    const float* se_p = f.p_sun_e + p0;
-    const float* sn_p = f.p_sun_n + p0;
-    const float* su_p = f.p_sun_u + p0;
-    const std::int32_t* off0_p = f.p_hor_off0 + p0;
-    const std::int32_t* off1_p = f.p_hor_off1 + p0;
-    const double* frac_p = f.p_hor_frac + p0;
+    const float* beam_p = f.beam_eq + p0;
+    const float* sky_p = f.sky_diffuse + p0;
+    const float* refl_p = f.reflected + p0;
+    const float* elev_p = f.sun_elevation + p0;
+    const float* se_p = f.sun_e + p0;
+    const float* sn_p = f.sun_n + p0;
+    const float* su_p = f.sun_u + p0;
+    const std::int32_t* off0_p = f.hor_off0 + p0;
+    const std::int32_t* off1_p = f.hor_off1 + p0;
+    const double* frac_p = f.hor_frac + p0;
 
     const bool uniform = f.norm_e == nullptr;
     __m256 ne_v{}, nn_v{}, nu_v{};
@@ -361,16 +188,6 @@ PVFP_AVX512 void bin_series_avx512(const double* g, std::size_t n,
 #undef PVFP_AVX512
 
 #else  // !PVFP_AVX512_KERNELS
-
-void cell_row_avx512(const FieldView& f, int y, long s, int x0, int x1,
-                     double* out) {
-    cell_row_scalar(f, y, s, x0, x1, out);
-}
-
-void cell_series_avx512(const FieldView& f, int x, int y, const long* steps,
-                        std::size_t n, double* out) {
-    cell_series_scalar(f, x, y, steps, n, out);
-}
 
 void cell_packed_avx512(const FieldView& f, int x, int y, long p0, long p1,
                         double* out) {

@@ -115,7 +115,9 @@ Histogram::Histogram(double lo, double hi, int bins)
 
 int Histogram::bin_index(double x) const {
     if (x <= lo_) return 0;
-    if (x >= hi_) return bin_count() - 1;
+    // NaN (no defined bin, and an undefined int cast) joins the top bin,
+    // as in the suitability binning kernels.
+    if (x >= hi_ || std::isnan(x)) return bin_count() - 1;
     const int i = static_cast<int>((x - lo_) / width_);
     return std::min(i, bin_count() - 1);
 }

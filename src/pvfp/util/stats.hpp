@@ -103,7 +103,8 @@ public:
     double bin_lower(int i) const;
     double bin_width() const { return width_; }
 
-    /// Index of the bin receiving value \p x (after clamping).
+    /// Index of the bin receiving value \p x (after clamping; NaN goes
+    /// to the top bin).
     int bin_index(double x) const;
 
 private:

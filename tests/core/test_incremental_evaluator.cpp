@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "pvfp/core/evaluator.hpp"
 #include "pvfp/core/incremental_evaluator.hpp"
 #include "pvfp/util/error.hpp"
+#include "pvfp/util/parallel.hpp"
 
 namespace pvfp::core {
 namespace {
@@ -62,6 +64,92 @@ TEST(IncrementalEvaluator, FullPassMatchesEvaluateFloorplan) {
     expect_matches_full(ev, s);
     EXPECT_EQ(ev.stats().full_passes, 1);
     EXPECT_GT(ev.energy_kwh(), 0.0);
+}
+
+/// Every field of two results, compared bitwise.
+void expect_bitwise_equal(const EvaluationResult& a,
+                          const EvaluationResult& b) {
+    EXPECT_EQ(a.energy_kwh, b.energy_kwh);
+    EXPECT_EQ(a.ideal_energy_kwh, b.ideal_energy_kwh);
+    EXPECT_EQ(a.mismatch_loss_kwh, b.mismatch_loss_kwh);
+    EXPECT_EQ(a.wiring_loss_kwh, b.wiring_loss_kwh);
+    EXPECT_EQ(a.extra_cable_m, b.extra_cable_m);
+    ASSERT_EQ(a.strings.size(), b.strings.size());
+    for (std::size_t j = 0; j < a.strings.size(); ++j) {
+        EXPECT_EQ(a.strings[j].energy_kwh, b.strings[j].energy_kwh);
+        EXPECT_EQ(a.strings[j].wiring_loss_kwh, b.strings[j].wiring_loss_kwh);
+    }
+}
+
+TEST(IncrementalEvaluator, PolarNightShardsMatchFullPassBitwise) {
+    // At 85 N a year of hourly steps holds a long polar night, so whole
+    // kStepsPerShard-sample shards of the sampled axis carry no daylight
+    // step; stride 7 also leaves a partial trailing shard.  The full pass
+    // and the incremental evaluator must map those shards identically:
+    // equal bits, and equal bits at 1 and 8 threads.
+    const TimeGrid grid(60, 1, 365);
+    const ShadedSetup base = make_setup();
+    geo::Raster dsm(24, 10, 0.2, 5.0);
+    for (int y = 0; y < 10; ++y)
+        for (int x = 22; x < 24; ++x) dsm(x, y) = 9.0;  // eastern ridge
+    geo::HorizonOptions hopt;
+    hopt.azimuth_sectors = 16;
+    hopt.max_distance = 10.0;
+    solar::FieldConfig config;
+    config.location.latitude_deg = 85.0;
+    config.location.longitude_deg = 15.0;
+    const solar::IrradianceField field(
+        geo::HorizonMap(dsm, 0, 0, 24, 10, hopt),
+        pvfp::testing::constant_weather(grid), grid, deg2rad(26.0),
+        deg2rad(180.0), config);
+
+    for (const long stride : {1L, 4L, 7L}) {
+        SCOPED_TRACE("stride " + std::to_string(stride));
+        const DaylightAxis axis = sample_daylight(field, stride);
+        const long n_grid = (grid.total_steps() + stride - 1) / stride;
+        ASSERT_EQ(axis.shards(),
+                  (n_grid + kStepsPerShard - 1) / kStepsPerShard);
+        // Shard c starts at the count of daylight samples before grid
+        // sample c * kStepsPerShard.
+        long seen = 0;
+        for (long k = 0; k < n_grid; ++k) {
+            if (k % kStepsPerShard == 0)
+                ASSERT_EQ(axis.shard_offsets[static_cast<std::size_t>(
+                              k / kStepsPerShard)],
+                          seen);
+            if (!field.is_daylight(k * stride)) continue;
+            ASSERT_EQ(axis.steps[static_cast<std::size_t>(seen)],
+                      k * stride);
+            ++seen;
+        }
+        ASSERT_EQ(axis.shard_offsets.back(), seen);
+        ASSERT_EQ(axis.size(), seen);
+        ASSERT_GT(seen, 0);
+        long empty = 0;
+        for (long c = 0; c < axis.shards(); ++c)
+            if (axis.shard_offsets[static_cast<std::size_t>(c)] ==
+                axis.shard_offsets[static_cast<std::size_t>(c) + 1])
+                ++empty;
+        ASSERT_GT(empty, 0) << "no shard without daylight";
+
+        EvaluationOptions options;
+        options.step_stride = stride;
+        std::vector<EvaluationResult> full;
+        std::vector<EvaluationResult> inc;
+        for (const int threads : {1, 8}) {
+            set_thread_count(threads);
+            full.push_back(evaluate_floorplan(base_plan(), base.area, field,
+                                              base.model, options));
+            inc.push_back(IncrementalEvaluator(base_plan(), base.area, field,
+                                               base.model, options)
+                              .result());
+        }
+        set_thread_count(0);
+        EXPECT_GT(full[0].energy_kwh, 0.0);
+        expect_bitwise_equal(full[0], inc[0]);
+        expect_bitwise_equal(full[0], full[1]);
+        expect_bitwise_equal(inc[0], inc[1]);
+    }
 }
 
 TEST(IncrementalEvaluator, MoveCommitMatchesFull) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -247,6 +248,18 @@ TEST(Histogram, ClampsOutOfRangeIntoEdgeBins) {
     EXPECT_EQ(h.bin(0), 1u);
     EXPECT_EQ(h.bin(9), 1u);
     EXPECT_EQ(h.total(), 2u);
+}
+
+TEST(Histogram, NanGoesToTopBin) {
+    // NaN has no defined bin (and its int cast is undefined): it joins
+    // the top bin, like the suitability binning kernels.
+    Histogram h(0.0, 10.0, 10);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(h.bin_index(nan), 9);
+    EXPECT_EQ(h.bin_index(-nan), 9);
+    h.add(nan);
+    EXPECT_EQ(h.bin(9), 1u);
+    EXPECT_EQ(h.total(), 1u);
 }
 
 TEST(Histogram, PercentileApproximatesExactWithinBinWidth) {

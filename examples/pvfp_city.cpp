@@ -8,7 +8,8 @@
 ///     --minutes <step>           time step in minutes (default: 15)
 ///     --stride <k>               suitability+evaluation step stride
 ///                                (default: 4 — production sampling)
-///     --sectors <n>              horizon azimuth sectors (default: 72)
+///     --sectors <n>              horizon azimuth sectors, 4..3600
+///                                (default: 72)
 ///     --seed <u64>               weather seed (default: 42)
 ///     --shard <N>                roofs prepared per shard (default: 32)
 ///     --tile-cache <N>           resident decoded tiles (default: 16)
@@ -57,7 +58,8 @@ namespace {
     std::cerr << "pvfp_city: " << message << "\n"
               << "usage: pvfp_city --tiles DIR --index FILE --out OUT.jsonl\n"
               << "                 [--summary rank.csv] [--topologies 8x2,8x4]\n"
-              << "                 [--minutes step] [--stride k] [--seed u64]\n"
+              << "                 [--minutes step] [--stride k] [--sectors n]\n"
+              << "                 [--seed u64]\n"
               << "                 [--shard N] [--tile-cache N] [--margin m]\n"
               << "                 [--resume] [--shared-horizon]\n"
               << "                 [--horizon-cache-mb N]\n"
@@ -122,7 +124,8 @@ int main(int argc, char** argv) {
         else if (arg == "--minutes")
             minutes = cli::parse_int(arg, next(), 1, 24 * 60);
         else if (arg == "--stride") stride = cli::parse_long(arg, next(), 1);
-        else if (arg == "--sectors") sectors = cli::parse_int(arg, next(), 1);
+        else if (arg == "--sectors")
+            sectors = cli::parse_sectors(arg, next());
         else if (arg == "--seed") {
             seed = cli::parse_u64(arg, next());
             seed_set = true;
@@ -180,8 +183,7 @@ int main(int argc, char** argv) {
             usage_error("--tiles, --index and --out are required");
         if (!grid_plan_path.empty() && feeder_path.empty())
             usage_error("--grid-plan requires --feeder-index");
-        if (minutes <= 0 || stride <= 0 || shard <= 0 || tile_cache <= 0 ||
-            sectors <= 0)
+        if (minutes <= 0 || stride <= 0 || shard <= 0 || tile_cache <= 0)
             usage_error("non-positive numeric option");
 
         // Telemetry switches before any pipeline work: --metrics-out

@@ -21,7 +21,8 @@
 ///     --minutes <step>           time step in minutes (default: 15)
 ///     --stride <k>               suitability+evaluation step stride
 ///                                (default: 4)
-///     --sectors <n>              horizon azimuth sectors (default: 72)
+///     --sectors <n>              horizon azimuth sectors, 4..3600
+///                                (default: 72)
 ///     --seed <u64>               weather seed (default: 42)
 ///     --margin <m>               shading context margin (default: 8)
 ///     --tile-cache <N>           resident decoded tiles (default: 16)
@@ -129,7 +130,8 @@ int main(int argc, char** argv) {
         else if (arg == "--minutes")
             minutes = cli::parse_int(arg, next(), 1, 24 * 60);
         else if (arg == "--stride") stride = cli::parse_long(arg, next(), 1);
-        else if (arg == "--sectors") sectors = cli::parse_int(arg, next(), 1);
+        else if (arg == "--sectors")
+            sectors = cli::parse_sectors(arg, next());
         else if (arg == "--seed") seed = cli::parse_u64(arg, next());
         else if (arg == "--margin")
             margin = cli::parse_double(arg, next(), 0.0);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "pvfp/geo/horizon_kernels.hpp"
+#include "pvfp/obs/metrics.hpp"
 #include "pvfp/util/error.hpp"
 #include "pvfp/util/math.hpp"
 #include "pvfp/util/parallel.hpp"
@@ -53,6 +54,14 @@ void validate_build(const Raster& dsm, int x0, int y0, int win_w, int win_h,
               "HorizonMap: window outside raster");
     check_arg(options.azimuth_sectors >= 4,
               "HorizonMap: need at least 4 azimuth sectors");
+    check_arg(options.azimuth_sectors <= kMaxAzimuthSectors,
+              "HorizonMap: more azimuth sectors than kMaxAzimuthSectors");
+    check_arg(static_cast<std::size_t>(win_w) *
+                      static_cast<std::size_t>(win_h) *
+                      static_cast<std::size_t>(options.azimuth_sectors) <=
+                  kMaxHorizonPlaneFloats,
+              "HorizonMap: window cells x sectors exceeds the plane "
+              "ceiling");
     check_arg(std::isfinite(options.max_distance) &&
                   std::isfinite(options.step_factor) &&
                   std::isfinite(options.step_growth) &&
@@ -81,20 +90,30 @@ HorizonMap::HorizonMap(const Raster& dsm, int x0, int y0, int win_w,
     // The win_h x win_w x sectors ray sweep is the prepare-time
     // bottleneck.  The batched engine marches all cells of a window row
     // through one sector together (shared step schedule and direction
-    // offsets, shared bilinear y half, SIMD lanes across cells — see
+    // offsets, shared bilinear y half, SIMD lanes across cells, deferred
+    // atan2, early stops against the corner tables — see
     // horizon_kernels.hpp); rows are independent (each writes its own
     // angles_/svf_ slice), so parallelize over window rows.  One row per
     // chunk keeps the grid thread-count independent, hence deterministic.
     const HorizonSchedule sched =
         make_horizon_schedule(options, dsm.cell_size());
+    const HorizonBounds bounds = make_horizon_bounds(dsm);
     const std::size_t ncells = static_cast<std::size_t>(cell_count());
     parallel_for(0, win_h, 1, [&](long row_begin, long row_end) {
         for (long wy = row_begin; wy < row_end; ++wy) {
             const std::size_t ri = static_cast<std::size_t>(wy) * win_w;
-            horizon_row_batched(dsm, x0, y0 + static_cast<int>(wy), win_w,
-                                sched, options.observer_offset,
-                                angles_.data() + ri, ncells,
-                                svf_.data() + ri);
+            const HorizonMarchCounts counts = horizon_row_batched(
+                dsm, x0, y0 + static_cast<int>(wy), win_w, sched, bounds,
+                options.observer_offset, angles_.data() + ri, ncells,
+                svf_.data() + ri);
+            if (obs::enabled()) {
+                static const obs::Counter steps =
+                    obs::registry().counter("geo.horizon.march_steps");
+                static const obs::Counter atan2_calls =
+                    obs::registry().counter("geo.horizon.atan2_calls");
+                steps.add(counts.steps);
+                atan2_calls.add(counts.atan2_calls);
+            }
         }
     });
 }

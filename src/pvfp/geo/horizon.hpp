@@ -13,15 +13,24 @@
 /// The same horizon data yields the sky-view factor used to attenuate
 /// diffuse irradiance for cells next to obstructions.
 
+#include <cstddef>
 #include <vector>
 
 #include "pvfp/geo/raster.hpp"
 
 namespace pvfp::geo {
 
+/// Most azimuth sectors a horizon build accepts (0.1 deg sectors); the
+/// CLIs reject --sectors outside [4, kMaxAzimuthSectors] up front.
+inline constexpr int kMaxAzimuthSectors = 3600;
+/// Most floats a horizon build allocates for its angle planes
+/// (window cells x sectors, 4 GiB); larger builds throw InvalidArgument.
+inline constexpr std::size_t kMaxHorizonPlaneFloats = std::size_t{1} << 30;
+
 /// Parameters for horizon construction.
 struct HorizonOptions {
-    /// Number of azimuth sectors (evenly spaced over 360 deg).
+    /// Number of azimuth sectors (evenly spaced over 360 deg), in
+    /// [4, kMaxAzimuthSectors].
     int azimuth_sectors = 72;
     /// Maximum marching distance [m]; obstructions further away are
     /// ignored (an 80 m radius covers multi-story neighbors at low sun).

@@ -17,6 +17,7 @@
 #include <limits>
 #include <string>
 
+#include "pvfp/geo/horizon.hpp"
 #include "pvfp/util/error.hpp"
 
 namespace pvfp::cli {
@@ -77,6 +78,13 @@ inline std::uint64_t parse_u64(
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
     return detail::parse_integer<std::uint64_t>(
         flag, value, "expected an unsigned integer", min, max);
+}
+
+/// Parse a --sectors value: an integer in [4, geo::kMaxAzimuthSectors],
+/// the range HorizonMap accepts, so a bad count is a usage error up
+/// front instead of a per-roof error or an unbounded allocation.
+inline int parse_sectors(const std::string& flag, const std::string& value) {
+    return parse_int(flag, value, 4, geo::kMaxAzimuthSectors);
 }
 
 /// Parse a whole-string finite double; throws UsageError naming \p flag

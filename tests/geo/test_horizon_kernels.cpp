@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -157,6 +158,310 @@ TEST(HorizonKernels, DegenerateMaxDistanceYieldsZeroHorizons) {
                 ASSERT_EQ(map.horizon(wx, wy, s), 0.0);
     EXPECT_DOUBLE_EQ(map.sky_view_factor(0, 0), 1.0);
     EXPECT_DOUBLE_EQ(map.sky_view_factor(7, 7), 1.0);
+}
+
+// ---------------------------------------------------------------------
+// Adversarial terrains for the deferred atan2 and the stop bound
+// ---------------------------------------------------------------------
+
+/// Build the whole-raster map at every runnable level and require it to
+/// equal the per-cell oracle bit for bit.
+void expect_levels_match_reference(const Raster& dsm,
+                                   const HorizonOptions& opt,
+                                   const std::string& what) {
+    SimdLevelGuard guard;
+    const HorizonMap ref =
+        horizon_map_reference(dsm, 0, 0, dsm.width(), dsm.height(), opt);
+    for (const SimdLevel level : runnable_levels()) {
+        set_simd_level(level);
+        const HorizonMap batched(dsm, 0, 0, dsm.width(), dsm.height(), opt);
+        expect_bitwise_equal(
+            batched, ref,
+            (what + " level " + simd_level_name(level)).c_str());
+    }
+}
+
+/// March every row of \p dsm at the current SIMD level with \p bounds
+/// and return the summed counts (angles and svf into \p angles/\p svf).
+HorizonMarchCounts march_all_rows(const Raster& dsm,
+                                  const HorizonOptions& opt,
+                                  const HorizonBounds& bounds,
+                                  std::vector<float>* angles = nullptr,
+                                  std::vector<float>* svf = nullptr) {
+    const HorizonSchedule sched =
+        make_horizon_schedule(opt, dsm.cell_size());
+    const int w = dsm.width(), h = dsm.height();
+    const std::size_t ncells = static_cast<std::size_t>(w) * h;
+    std::vector<float> a(ncells *
+                         static_cast<std::size_t>(opt.azimuth_sectors));
+    std::vector<float> v(ncells);
+    HorizonMarchCounts total;
+    for (int y = 0; y < h; ++y) {
+        const std::size_t ri = static_cast<std::size_t>(y) * w;
+        const HorizonMarchCounts c =
+            horizon_row_batched(dsm, 0, y, w, sched, bounds,
+                                opt.observer_offset, a.data() + ri, ncells,
+                                v.data() + ri);
+        total.steps += c.steps;
+        total.atan2_calls += c.atan2_calls;
+    }
+    if (angles) *angles = std::move(a);
+    if (svf) *svf = std::move(v);
+    return total;
+}
+
+TEST(HorizonKernels, OffsetTerrainKeepsTheBoundMargin) {
+    // +4000 m moves every height's ulp up 2^12-fold: the stop bound's
+    // margin must scale with it, or a rounded lerp above its corners
+    // would be cut.
+    std::vector<Raster> dsms = test_dsms();
+    for (std::size_t d = 0; d < dsms.size(); ++d) {
+        for (double& v : dsms[d].grid().data()) v += 4000.0;
+        HorizonOptions opt;
+        opt.azimuth_sectors = 24;
+        opt.max_distance = 12.0;
+        expect_levels_match_reference(dsms[d], opt,
+                                      "offset dsm " + std::to_string(d));
+    }
+}
+
+TEST(HorizonKernels, NonFiniteCellsOnlyLoosenTheBound) {
+    const double inf = std::numeric_limits<double>::infinity();
+    Rng rng(0xBADC0DEu);
+    Raster dsm(33, 27, 0.5);
+    for (int y = 0; y < dsm.height(); ++y)
+        for (int x = 0; x < dsm.width(); ++x)
+            dsm(x, y) = rng.uniform(0.0, 5.0);
+    // Zero corner blocks: the one-block regions there leave only the
+    // margin (2^-40 of the largest |height|) between a table entry and 0.
+    constexpr int kShift = detail::kBoundBlockShift;
+    const int last_bx = (dsm.width() - 1) >> kShift;
+    const int last_by = (dsm.height() - 1) >> kShift;
+    for (int y = 0; y < dsm.height(); ++y)
+        for (int x = 0; x < dsm.width(); ++x)
+            if (((x >> kShift) == 0 || (x >> kShift) == last_bx) &&
+                ((y >> kShift) == 0 || (y >> kShift) == last_by))
+                dsm(x, y) = 0.0;
+    dsm(5, 4) = std::nan("");
+    dsm(20, 9) = inf;
+    dsm(11, 20) = -inf;
+    dsm(28, 22) = std::nan("");
+    dsm(2, 25) = -inf;
+    for (const int sectors : {8, 24}) {
+        HorizonOptions opt;
+        opt.azimuth_sectors = sectors;
+        opt.max_distance = 9.0;
+        expect_levels_match_reference(
+            dsm, opt, "non-finite sectors " + std::to_string(sectors));
+    }
+
+    // The tables: NaN reads as +Inf, and every entry lies at least the
+    // margin above every cell of the blocks in its quadrant.
+    const HorizonBounds bounds = make_horizon_bounds(dsm);
+    const int w = dsm.width(), h = dsm.height();
+    ASSERT_EQ(bounds.width, ((w - 1) >> kShift) + 1);
+    const int bh = ((h - 1) >> kShift) + 1;
+    double magnitude = 0.0;
+    for (const double v : dsm.grid().data())
+        if (std::isfinite(v)) magnitude = std::max(magnitude, std::fabs(v));
+    const double margin = std::ldexp(magnitude, -40);
+    for (int q = 0; q < 4; ++q) {
+        ASSERT_EQ(bounds.table[q].size(),
+                  static_cast<std::size_t>(bounds.width) * bh);
+        for (int by = 0; by < bh; ++by) {
+            for (int bx = 0; bx < bounds.width; ++bx) {
+                const double b = bounds.table[q][static_cast<std::size_t>(
+                                                     by) * bounds.width +
+                                                 bx];
+                for (int yy = 0; yy < h; ++yy) {
+                    if ((q & 2) ? (yy >> kShift) > by : (yy >> kShift) < by)
+                        continue;
+                    for (int xx = 0; xx < w; ++xx) {
+                        if ((q & 1) ? (xx >> kShift) > bx
+                                    : (xx >> kShift) < bx)
+                            continue;
+                        const double v = dsm(xx, yy);
+                        ASSERT_TRUE(std::isnan(v) || v == inf
+                                        ? b == inf
+                                        : b >= v + margin)
+                            << "quadrant " << q << " block (" << bx << ", "
+                            << by << ") vs cell (" << xx << ", " << yy
+                            << ")";
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(HorizonKernels, CandidateBufferEvaluatesEveryStepInTheBand) {
+    // White-box: 20 candidates with the same ratio but different
+    // angles.  All stay in the band, so a full buffer must evaluate its
+    // entries, not drop them: the result is the largest angle, whatever
+    // its position, after exactly 20 atan2 calls.
+    for (int argmax = 0; argmax < 20; ++argmax) {
+        detail::MarchCandidates cand;
+        HorizonMarchCounts counts;
+        for (int j = 0; j < 20; ++j)
+            cand.push(1.0, j == argmax ? 3.0 : 1.0, 1.0, 1.0, counts);
+        EXPECT_EQ(cand.finish(1.0, counts), std::atan2(3.0, 1.0))
+            << "argmax " << argmax;
+        EXPECT_EQ(counts.atan2_calls, 20u);
+    }
+    // Entries that fall out of a later max's band are dropped unseen.
+    detail::MarchCandidates cand;
+    HorizonMarchCounts counts;
+    for (int j = 0; j < 12; ++j) cand.push(0.5, 0.5, 1.0, 0.5, counts);
+    cand.push(2.0, 2.0, 1.0, 2.0, counts);
+    EXPECT_EQ(cand.finish(2.0, counts), std::atan2(2.0, 1.0));
+    EXPECT_EQ(counts.atan2_calls, 9u);  // 8 flushed early, then the max
+}
+
+TEST(HorizonKernels, TiedRatiosOverflowTheCandidateBuffer) {
+    // A linear ramp seen from its own surface (no observer offset): along
+    // an east ray every step's ratio d / t is the slope up to rounding,
+    // so every step stays in the guard band — far more candidates than
+    // the per-lane buffer holds.
+    Raster ramp(96, 5, 0.5);
+    for (int y = 0; y < ramp.height(); ++y)
+        for (int x = 0; x < ramp.width(); ++x)
+            ramp(x, y) = 0.3 * x;
+    HorizonOptions opt;
+    opt.azimuth_sectors = 4;
+    opt.observer_offset = 0.0;
+    opt.step_growth = 1.0;
+    opt.max_distance = 40.0;
+    expect_levels_match_reference(ramp, opt, "ramp");
+
+    SimdLevelGuard guard;
+    set_simd_level(SimdLevel::Scalar);
+    const HorizonMarchCounts counts =
+        march_all_rows(ramp, opt, make_horizon_bounds(ramp));
+    // Tied steps are evaluated, not dropped: many more atan2 calls than
+    // one per (cell, sector).
+    EXPECT_GT(counts.atan2_calls,
+              static_cast<std::uint64_t>(ramp.width()) * ramp.height() *
+                  opt.azimuth_sectors);
+}
+
+TEST(HorizonKernels, EveryQuadrantTableCutsWithoutChangingAngles) {
+    // A tall spike off each diagonal of the central window: rays that
+    // pass a spike see only flat ground beyond it, so the quadrant's
+    // table stops them.
+    Raster dsm(41, 41, 0.5, 1.0);
+    dsm(27, 13) = 30.0;  // NE
+    dsm(13, 13) = 30.0;  // NW
+    dsm(27, 27) = 30.0;  // SE
+    dsm(13, 27) = 30.0;  // SW
+    HorizonOptions opt;
+    opt.azimuth_sectors = 16;
+    opt.max_distance = 15.0;
+    expect_levels_match_reference(dsm, opt, "spikes");
+
+    // No-cut baseline: +Inf everywhere never stops a lane.
+    const HorizonBounds real = make_horizon_bounds(dsm);
+    HorizonBounds open = real;
+    for (std::vector<float>& t : open.table)
+        std::fill(t.begin(), t.end(), std::numeric_limits<float>::infinity());
+    SimdLevelGuard guard;
+    for (const SimdLevel level : runnable_levels()) {
+        set_simd_level(level);
+        std::vector<float> base_angles, base_svf;
+        const HorizonMarchCounts base =
+            march_all_rows(dsm, opt, open, &base_angles, &base_svf);
+        for (int q = 0; q < 4; ++q) {
+            HorizonBounds one = open;
+            one.table[q] = real.table[q];
+            std::vector<float> angles, svf;
+            const HorizonMarchCounts cut =
+                march_all_rows(dsm, opt, one, &angles, &svf);
+            EXPECT_LT(cut.steps, base.steps)
+                << "quadrant " << q << " never cut at "
+                << simd_level_name(level);
+            EXPECT_EQ(angles, base_angles) << "quadrant " << q;
+            EXPECT_EQ(svf, base_svf) << "quadrant " << q;
+        }
+    }
+}
+
+TEST(HorizonKernels, CardinalRaysAndThinRastersMatchReference) {
+    // azimuth_sectors = 4 marches exactly along the axes (dirx = +0 at
+    // north, round-off-sized cross terms elsewhere); 1-row and 1-column
+    // rasters clamp both bilinear corners onto one line.
+    std::vector<Raster> dsms = test_dsms();
+    Rng rng(0x7411u);
+    Raster row(57, 1, 0.5), column(1, 57, 0.5);
+    for (int i = 0; i < 57; ++i) {
+        row(i, 0) = rng.uniform(0.0, 8.0);
+        column(0, i) = rng.uniform(0.0, 8.0);
+    }
+    dsms.push_back(std::move(row));
+    dsms.push_back(std::move(column));
+    for (const int sectors : {4, 12}) {
+        for (std::size_t d = 0; d < dsms.size(); ++d) {
+            HorizonOptions opt;
+            opt.azimuth_sectors = sectors;
+            opt.max_distance = 14.0;
+            expect_levels_match_reference(
+                dsms[d], opt,
+                "dsm " + std::to_string(d) + " sectors " +
+                    std::to_string(sectors));
+        }
+    }
+}
+
+TEST(HorizonKernels, MarchCountsAgreeAcrossLevels) {
+    // The obs counters are defined per lane: every level marches the
+    // same lane-steps and makes the same atan2 calls.
+    SimdLevelGuard guard;
+    const std::vector<Raster> dsms = test_dsms();
+    for (std::size_t d = 0; d < dsms.size(); ++d) {
+        HorizonOptions opt;
+        opt.azimuth_sectors = 24;
+        opt.max_distance = 12.0;
+        const HorizonBounds bounds = make_horizon_bounds(dsms[d]);
+        set_simd_level(SimdLevel::Scalar);
+        const HorizonMarchCounts scalar =
+            march_all_rows(dsms[d], opt, bounds);
+        EXPECT_GT(scalar.steps, 0u);
+        EXPECT_GT(scalar.atan2_calls, 0u);
+        for (const SimdLevel level : runnable_levels()) {
+            set_simd_level(level);
+            const HorizonMarchCounts c = march_all_rows(dsms[d], opt, bounds);
+            EXPECT_EQ(c.steps, scalar.steps)
+                << "dsm " << d << " " << simd_level_name(level);
+            EXPECT_EQ(c.atan2_calls, scalar.atan2_calls)
+                << "dsm " << d << " " << simd_level_name(level);
+        }
+    }
+}
+
+TEST(HorizonKernels, RejectsAbsurdScheduleAndPlaneSizes) {
+    Raster dsm(8, 8, 1.0);
+    HorizonOptions opt;
+    opt.azimuth_sectors = kMaxAzimuthSectors + 1;
+    EXPECT_THROW(HorizonMap(dsm, 0, 0, 4, 4, opt), InvalidArgument);
+    EXPECT_THROW(horizon_map_reference(dsm, 0, 0, 4, 4, opt),
+                 InvalidArgument);
+    // Steps past the ceiling: refused before the step list grows.
+    opt = HorizonOptions{};
+    opt.max_distance = 1e12;
+    EXPECT_THROW(make_horizon_schedule(opt, 1.0), InvalidArgument);
+    EXPECT_THROW(HorizonMap(dsm, 0, 0, 4, 4, opt), InvalidArgument);
+    // Sectors x steps past the ceiling.
+    opt = HorizonOptions{};
+    opt.azimuth_sectors = kMaxAzimuthSectors;
+    opt.step_growth = 1.0;
+    opt.max_step_factor = 1.0;
+    opt.max_distance = 0.9 * kMaxHorizonSteps;
+    EXPECT_THROW(make_horizon_schedule(opt, 1.0), InvalidArgument);
+    // Window cells x sectors past the plane ceiling.
+    const Raster big(600, 600, 1.0);
+    opt = HorizonOptions{};
+    opt.azimuth_sectors = kMaxAzimuthSectors;
+    EXPECT_THROW(HorizonMap(big, 0, 0, 600, 600, opt), InvalidArgument);
+    EXPECT_THROW(horizon_map_reference(big, 0, 0, 600, 600, opt),
+                 InvalidArgument);
 }
 
 TEST(HorizonKernels, RejectsInvalidObserverAndNonFiniteOptions) {

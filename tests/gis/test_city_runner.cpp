@@ -225,6 +225,10 @@ TEST(CityRunner, TelemetryOnOffAndThreadCountsGiveSameBytes) {
     };
     EXPECT_GT(counter("core.suitability.folded_steps"), 0) << counters1;
     EXPECT_GT(counter("core.suitability.swept_cell_steps"), 0) << counters1;
+    // The horizon march counts its lane-steps and deferred atan2 calls
+    // per lane, so both are in the invariant set too.
+    EXPECT_GT(counter("geo.horizon.march_steps"), 0) << counters1;
+    EXPECT_GT(counter("geo.horizon.atan2_calls"), 0) << counters1;
 #endif
 }
 

@@ -7,6 +7,9 @@
 
 #include "pvfp/util/cli.hpp"
 
+#include "pvfp/geo/horizon.hpp"
+#include "pvfp/geo/raster.hpp"
+
 namespace pvfp::cli {
 namespace {
 
@@ -49,6 +52,30 @@ TEST(Cli, ParsesAndRejectsDoubles) {
     EXPECT_THROW(parse_double("--margin", "nan"), UsageError);
     EXPECT_THROW(parse_double("--margin", "-1", 0.0), UsageError);
     EXPECT_THROW(parse_double("--margin", "1e999"), UsageError);
+}
+
+TEST(Cli, SectorsStayInsideWhatTheHorizonBuildAccepts) {
+    // --sectors 2 used to pass the CLI and fail every roof; a huge count
+    // used to reach the allocator.  Both are usage errors now, and the
+    // ceiling is the library's own.
+    EXPECT_EQ(parse_sectors("--sectors", "4"), 4);
+    EXPECT_EQ(parse_sectors("--sectors", "72"), 72);
+    EXPECT_EQ(parse_sectors("--sectors", "3600"), geo::kMaxAzimuthSectors);
+    EXPECT_THROW(parse_sectors("--sectors", "2"), UsageError);
+    EXPECT_THROW(parse_sectors("--sectors", "0"), UsageError);
+    EXPECT_THROW(parse_sectors("--sectors", "3601"), UsageError);
+    EXPECT_THROW(parse_sectors("--sectors", "2000000000"), UsageError);
+
+    // Past the CLI, the library refuses the same counts with a typed
+    // error before it allocates.
+    const geo::Raster dsm(8, 8, 1.0);
+    geo::HorizonOptions opt;
+    opt.azimuth_sectors = 2;
+    EXPECT_THROW(geo::HorizonMap(dsm, 0, 0, 8, 8, opt), InvalidArgument);
+    opt.azimuth_sectors = 2000000000;
+    EXPECT_THROW(geo::HorizonMap(dsm, 0, 0, 8, 8, opt), InvalidArgument);
+    opt.azimuth_sectors = geo::kMaxAzimuthSectors;
+    EXPECT_NO_THROW(geo::HorizonMap(dsm, 0, 0, 2, 1, opt));
 }
 
 TEST(Cli, ErrorMessageNamesTheFlagAndValue) {

@@ -2,8 +2,9 @@
 /// google-benchmark microbenchmarks of the pipeline's hot kernels:
 /// horizon ray-marching (the per-cell oracle vs the batched SIMD
 /// row-march kernels, per dispatch level), per-cell irradiance
-/// sampling, the packed SoA irradiance kernel (scalar and AVX-512
-/// dispatch vs the per-cell scalar baseline), per-cell histogram
+/// sampling, the packed SoA footprint kernel (scalar and AVX-512
+/// dispatch vs the per-cell scalar baseline, one cell and one module
+/// footprint), a whole floorplan evaluation, per-cell histogram
 /// statistics, panel aggregation, and the summed-area table.
 /// Benches take one arg per dispatch level that runs distinct code:
 /// 0/1/2 (scalar/AVX2/AVX-512) for the horizon march, 0/2 for the
@@ -15,10 +16,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "pvfp/core/evaluator.hpp"
+#include "pvfp/core/greedy_placer.hpp"
 #include "pvfp/core/pipeline.hpp"
 #include "pvfp/core/roof_library.hpp"
 #include "pvfp/core/suitability.hpp"
@@ -222,30 +225,61 @@ void BM_IrradiancePackedKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_IrradiancePackedKernel)->Arg(0)->Arg(2);
 
-/// Footprint-mean anchor series (the IncrementalEvaluator's per-anchor
-/// work) over the packed sampled axis, per dispatch level.
+/// Footprint-mean anchor series of the toy's 8x4 module footprint over
+/// the packed sampled axis, swept in 128-sample runs (about the daylight
+/// samples of one evaluator shard), per dispatch level.  Items are
+/// cell-steps.
 void BM_AnchorSeriesKernel(benchmark::State& state) {
     if (!apply_simd_arg(state)) return;
     const auto& prepared = toy_prepared();
     const auto& axis = toy_sampled_axis();
-    const auto& steps = axis.steps;
-    std::vector<double> out(steps.size());
+    constexpr long kRun = 128;
+    std::vector<double> out(kRun);
     int x = 0;
     const int x_max = prepared.field.width() - prepared.geometry.k1;
     for (auto _ : state) {
-        core::anchor_irradiance_series(
-            prepared.geometry, x, 0, prepared.field, axis.pack, 0,
-            axis.size(), core::ModuleIrradiance::FootprintMean, out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
+        for (long p0 = 0; p0 < axis.size(); p0 += kRun) {
+            core::anchor_irradiance_series(
+                prepared.geometry, x, 0, prepared.field, axis.pack, p0,
+                std::min(p0 + kRun, axis.size()),
+                core::ModuleIrradiance::FootprintMean, out.data());
+            benchmark::DoNotOptimize(out.data());
+            benchmark::ClobberMemory();
+        }
         x = (x + 1) % (x_max + 1);
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<long>(steps.size()) *
+    state.SetItemsProcessed(state.iterations() * axis.size() *
                             prepared.geometry.cell_count());
     set_simd_level_auto();
 }
 BENCHMARK(BM_AnchorSeriesKernel)->Arg(0)->Arg(2);
+
+/// evaluate_floorplan of the greedy 8x2 plan on the toy roof at the
+/// search-loop stride 4, on one thread, per dispatch level: the footprint
+/// kernel, the batched operating points and the per-step panel
+/// aggregation together.  Items are module-steps.
+void BM_EvaluateFloorplan(benchmark::State& state) {
+    if (!apply_simd_arg(state)) return;
+    const auto& prepared = toy_prepared();
+    const core::Floorplan plan = core::place_greedy(
+        prepared.area, prepared.suitability.suitability, prepared.geometry,
+        pv::Topology{8, 2});
+    core::EvaluationOptions options;
+    options.step_stride = 4;
+    set_thread_count(1);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            core::evaluate_floorplan(plan, prepared.area, prepared.field,
+                                     prepared.model, options)
+                .energy_kwh);
+    }
+    set_thread_count(0);
+    state.SetItemsProcessed(state.iterations() * plan.module_count() *
+                            toy_sampled_axis().size());
+    set_simd_level_auto();
+}
+BENCHMARK(BM_EvaluateFloorplan)->Arg(0)->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 /// Year of 15-minute weather for the shared-sky prepare benches (the
 /// pvfp_serve cold-start workload shape).

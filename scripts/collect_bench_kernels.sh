@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Bench-trajectory collector for the packed irradiance kernel: runs
-# bench_micro_kernels' irradiance/anchor-series benchmarks in JSON mode
+# bench_micro_kernels' irradiance/anchor-series/evaluate benchmarks in
+# JSON mode
 # and appends one record per benchmark (tagged with the current commit)
 # to BENCH_kernels.json at the repo root, so speedup-vs-PR can be
 # tracked across the project's history (ROADMAP trajectory item).
@@ -21,7 +22,7 @@ fi
 
 commit="$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
-raw="$("$bench" --benchmark_filter='Irradiance|AnchorSeries|SharedSky|Footprint|HorizonMap' \
+raw="$("$bench" --benchmark_filter='Irradiance|AnchorSeries|EvaluateFloorplan|SharedSky|Footprint|HorizonMap' \
                 --benchmark_format=json --benchmark_min_time=0.2 \
                 2>/dev/null)"
 
@@ -38,12 +39,16 @@ if os.path.exists(out_path):
     with open(out_path) as f:
         records = json.load(f)
 
+# google-benchmark reports real_time in each benchmark's own time_unit
+# (the horizon and evaluate benches use ms).
+NS_PER = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 by_name = {}
 for b in raw.get("benchmarks", []):
     rec = {
         "commit": commit,
         "name": b["name"],
-        "real_time_ns": b["real_time"],
+        "real_time_ns": b["real_time"] * NS_PER[b.get("time_unit", "ns")],
         "items_per_second": b.get("items_per_second"),
     }
     by_name[b["name"]] = rec
@@ -75,6 +80,10 @@ for base, kernel, label in [
      "horizon build (avx2) vs per-cell oracle"),
     ("BM_HorizonMapReference", "BM_HorizonMapBatched/2",
      "horizon build (avx512) vs per-cell oracle"),
+    ("BM_AnchorSeriesKernel/0", "BM_AnchorSeriesKernel/2",
+     "footprint kernel avx512 vs scalar (8x4, 128-sample runs)"),
+    ("BM_EvaluateFloorplan/0", "BM_EvaluateFloorplan/2",
+     "evaluate_floorplan avx512 vs scalar (toy 8x2)"),
 ]:
     s = speedup(base, kernel)
     if s is not None:

@@ -98,44 +98,30 @@ void anchor_irradiance_series(const PanelGeometry& g, int x, int y,
               "window");
     check_arg(p0 >= 0 && p0 <= p1 && p1 <= pack.size(),
               "anchor_irradiance_series: packed range out of range");
-    if (p0 == p1) return;
-    if (mode == ModuleIrradiance::AnchorCell) {
-        field.cell_irradiance_packed_unchecked(pack, x, y, p0, p1, out);
-        return;
-    }
-    // One packed sweep per footprint cell, folded elementwise in the
-    // scalar (yy, xx) cell order: per step this performs exactly the
-    // additions / mins of anchor_irradiance_unchecked.
-    const std::size_t n = static_cast<std::size_t>(p1 - p0);
-    static thread_local std::vector<double> cell_buf;
-    cell_buf.resize(n);
-    if (mode == ModuleIrradiance::WorstCell) {
-        std::fill(out, out + n,
-                  std::numeric_limits<double>::infinity());
-        for (int yy = y; yy < y + g.k2; ++yy)
-            for (int xx = x; xx < x + g.k1; ++xx) {
-                field.cell_irradiance_packed_unchecked(pack, xx, yy, p0, p1,
-                                                       cell_buf.data());
-                for (std::size_t k = 0; k < n; ++k)
-                    out[k] = std::min(out[k], cell_buf[k]);
-            }
-        return;
-    }
-    std::fill(out, out + n, 0.0);
-    for (int yy = y; yy < y + g.k2; ++yy)
-        for (int xx = x; xx < x + g.k1; ++xx) {
-            field.cell_irradiance_packed_unchecked(pack, xx, yy, p0, p1,
-                                                   cell_buf.data());
-            for (std::size_t k = 0; k < n; ++k) out[k] += cell_buf[k];
-        }
-    const double count = g.cell_count();
-    for (std::size_t k = 0; k < n; ++k) out[k] /= count;
+    field.footprint_irradiance_packed_unchecked(pack, x, y, g.k1, g.k2, mode,
+                                                p0, p1, out);
 }
 
 pv::OperatingPoint sample_operating_point(const pv::EmpiricalModuleModel& model,
                                           double g, double t_air,
                                           double thermal_k) {
     return model.operating_point(g, t_air + thermal_k * g);
+}
+
+void sample_operating_points(const pv::EmpiricalModuleModel& model,
+                             const double* g, const double* t_air,
+                             double thermal_k, std::size_t n, double* power,
+                             double* voltage, double* current) {
+    bool valid = true;
+    for (std::size_t k = 0; k < n; ++k) valid &= g[k] >= 0.0;
+    check_arg(valid, "EmpiricalModuleModel::power: negative irradiance");
+    for (std::size_t k = 0; k < n; ++k) {
+        const pv::OperatingPoint op = model.operating_point_unchecked(
+            g[k], t_air[k] + thermal_k * g[k]);
+        power[k] = op.power_w;
+        voltage[k] = op.voltage_v;
+        current[k] = op.current_a;
+    }
 }
 
 double module_irradiance(const Floorplan& plan, int module_index,
@@ -195,12 +181,18 @@ EvaluationResult evaluate_floorplan(const Floorplan& plan,
     const DaylightAxis axis = sample_daylight(field, options.step_stride);
 
     // One map call per shard, each accumulating its own Partial; the
-    // partials merge in shard order.  Scratch (the per-module irradiance
-    // series, the operating-point vector) comes from a pool so a shard
-    // reuses the previous shard's allocations.
+    // partials merge in shard order.  Per shard, each module's irradiance
+    // series comes from the footprint kernel and its operating points
+    // from the batched model, into module-major SoA planes; each sampled
+    // step then aggregates the panel without allocating.  Scratch comes
+    // from a pool so a shard reuses the previous shard's allocations.
     struct ShardScratch {
-        std::vector<double> g;  ///< n_modules x shard samples, module-major
+        std::vector<double> g;      ///< one module's irradiance series
+        std::vector<double> power;  ///< n_modules x shard samples
+        std::vector<double> voltage;
+        std::vector<double> current;
         std::vector<pv::OperatingPoint> points;
+        pv::PanelOperating panel;
     };
     ScratchPool<ShardScratch> scratch_pool;
 
@@ -214,30 +206,37 @@ EvaluationResult evaluate_floorplan(const Floorplan& plan,
             const std::size_t nk = static_cast<std::size_t>(ke - kb);
             if (nk == 0) return p;
             auto scratch = scratch_pool.acquire();
-            scratch->g.resize(static_cast<std::size_t>(n_modules) * nk);
+            const std::size_t planes =
+                static_cast<std::size_t>(n_modules) * nk;
+            scratch->g.resize(nk);
+            scratch->power.resize(planes);
+            scratch->voltage.resize(planes);
+            scratch->current.resize(planes);
             for (int i = 0; i < n_modules; ++i) {
                 const ModulePlacement& m =
                     plan.modules[static_cast<std::size_t>(i)];
-                anchor_irradiance_series(
-                    plan.geometry, m.x, m.y, field, axis.pack, kb, ke,
-                    options.module_irradiance,
-                    scratch->g.data() + static_cast<std::size_t>(i) * nk);
+                anchor_irradiance_series(plan.geometry, m.x, m.y, field,
+                                         axis.pack, kb, ke,
+                                         options.module_irradiance,
+                                         scratch->g.data());
+                const std::size_t at = static_cast<std::size_t>(i) * nk;
+                sample_operating_points(
+                    model, scratch->g.data(),
+                    axis.t_air.data() + kb, k_th, nk,
+                    scratch->power.data() + at, scratch->voltage.data() + at,
+                    scratch->current.data() + at);
             }
             std::vector<pv::OperatingPoint>& points = scratch->points;
             points.resize(static_cast<std::size_t>(n_modules));
+            pv::PanelOperating& panel = scratch->panel;
             for (std::size_t k = 0; k < nk; ++k) {
                 const double dt_h =
                     axis.dt_h[static_cast<std::size_t>(kb) + k];
-                const double t_air =
-                    axis.t_air[static_cast<std::size_t>(kb) + k];
-                for (int i = 0; i < n_modules; ++i) {
-                    points[static_cast<std::size_t>(i)] =
-                        sample_operating_point(
-                            model,
-                            scratch->g[static_cast<std::size_t>(i) * nk + k],
-                            t_air, k_th);
-                }
-                const auto panel = pv::aggregate_panel(points, plan.topology);
+                for (std::size_t i = 0, at = k; i < points.size();
+                     ++i, at += nk)
+                    points[i] = {scratch->power[at], scratch->voltage[at],
+                                 scratch->current[at]};
+                pv::aggregate_panel(points, plan.topology, panel);
 
                 double wiring_w = 0.0;
                 if (options.include_wiring_loss) {

@@ -18,8 +18,10 @@
 /// follow, and the steps packed once into a solar::StepPack.  Module
 /// irradiance series then come from anchor_irradiance_series sweeping a
 /// run of that pack through the field's one batched kernel
-/// (IrradianceField::cell_irradiance_packed).
+/// (IrradianceField::footprint_irradiance_packed_unchecked), and their
+/// operating points from the batched sample_operating_points.
 
+#include <cstddef>
 #include <vector>
 
 #include "pvfp/core/layout.hpp"
@@ -28,17 +30,9 @@
 
 namespace pvfp::core {
 
-/// How a multi-cell module aggregates its footprint irradiance.
-enum class ModuleIrradiance {
-    FootprintMean,  ///< average over covered cells (default, physical)
-    WorstCell,      ///< pessimistic: minimum over covered cells
-    /// The paper's granularity: the module takes the G/T of its anchor
-    /// grid point ("each grid point has a specific value of G and T",
-    /// Section III-A).  Cell-scale variance then transfers 1:1 into
-    /// module output instead of averaging out — required to reproduce
-    /// Table I magnitudes; see the evaluation-granularity ablation.
-    AnchorCell,
-};
+/// How a multi-cell module aggregates its footprint irradiance (the
+/// field's footprint kernel folds it, so the enum lives with the field).
+using ModuleIrradiance = solar::ModuleIrradiance;
 
 struct EvaluationOptions {
     pv::WiringSpec wiring{};
@@ -131,12 +125,12 @@ double anchor_irradiance_unchecked(const PanelGeometry& geometry, int x, int y,
 /// Batched footprint irradiance: out[k] = anchor_irradiance_unchecked of
 /// the footprint anchored at (x, y) at the step \p pack holds at index
 /// p0 + k, for k in [0, p1 - p0) — bitwise identical to that per-step
-/// loop (it sweeps the field's packed kernel once per footprint cell and
-/// folds the cells in the same order).  This is the per-anchor hot path
-/// of evaluate_floorplan's time shards, the IncrementalEvaluator's
-/// series build, and ideal_anchor_energies.  \p pack must come from
-/// \p field's pack_steps.  Validates the footprint and the packed range
-/// once (throws InvalidArgument).
+/// loop (the field's footprint kernel loads each packed step once and
+/// folds the cells in the same order in registers).  This is the
+/// per-anchor hot path of evaluate_floorplan's time shards, the
+/// IncrementalEvaluator's series build, and ideal_anchor_energies.
+/// \p pack must come from \p field's pack_steps.  Validates the
+/// footprint and the packed range once (throws InvalidArgument).
 void anchor_irradiance_series(const PanelGeometry& geometry, int x, int y,
                               const solar::IrradianceField& field,
                               const solar::StepPack& pack, long p0, long p1,
@@ -149,5 +143,16 @@ void anchor_irradiance_series(const PanelGeometry& geometry, int x, int y,
 pv::OperatingPoint sample_operating_point(const pv::EmpiricalModuleModel& model,
                                           double g, double t_air,
                                           double thermal_k);
+
+/// Batched sample_operating_point over \p n samples, in structure-of-
+/// arrays form: for each k, {power[k], voltage[k], current[k]} is
+/// sample_operating_point(model, g[k], t_air[k], thermal_k), bit for bit.
+/// Validates once, before writing anything: any !(g[k] >= 0) (negative
+/// or NaN) throws the InvalidArgument of the scalar call.  The loop is
+/// branch-free so the compiler vectorizes it.
+void sample_operating_points(const pv::EmpiricalModuleModel& model,
+                             const double* g, const double* t_air,
+                             double thermal_k, std::size_t n, double* power,
+                             double* voltage, double* current);
 
 }  // namespace pvfp::core

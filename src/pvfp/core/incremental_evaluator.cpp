@@ -80,21 +80,18 @@ IncrementalEvaluator::series_for_anchor(const ModulePlacement& anchor) {
     const ModuleIrradiance mode = options_.module_irradiance;
     // Disjoint per-sample writes: bitwise-identical at any thread count.
     // Each chunk sweeps its run of the packed axis for the footprint,
-    // then samples the empirical model point by point.
+    // then samples the empirical model over the run in one batch.
     parallel_for(0, axis_.size(), kStepsPerShard, [&](long b, long e) {
         static thread_local std::vector<double> g_buf;
         g_buf.resize(static_cast<std::size_t>(e - b));
         anchor_irradiance_series(plan_.geometry, anchor.x, anchor.y, *field_,
                                  axis_.pack, b, e, mode, g_buf.data());
-        for (long k = b; k < e; ++k) {
-            const std::size_t ki = static_cast<std::size_t>(k);
-            const pv::OperatingPoint op = sample_operating_point(
-                model_, g_buf[static_cast<std::size_t>(k - b)],
-                axis_.t_air[ki], k_th);
-            ops.power_w[ki] = op.power_w;
-            ops.voltage_v[ki] = op.voltage_v;
-            ops.current_a[ki] = op.current_a;
-        }
+        const std::size_t kb = static_cast<std::size_t>(b);
+        sample_operating_points(model_, g_buf.data(),
+                                axis_.t_air.data() + kb, k_th, g_buf.size(),
+                                ops.power_w.data() + kb,
+                                ops.voltage_v.data() + kb,
+                                ops.current_a.data() + kb);
     });
     ++stats_.series_computed;
 
@@ -464,7 +461,12 @@ std::vector<double> ideal_anchor_energies(
     // packed axis: deterministic at any thread count and any SIMD level.
     parallel_for(0, static_cast<long>(anchors.size()), 8, [&](long b, long e) {
         static thread_local std::vector<double> g_buf;
-        g_buf.resize(axis.steps.size());
+        static thread_local std::vector<double> power, voltage, current;
+        const std::size_t n = axis.steps.size();
+        g_buf.resize(n);
+        power.resize(n);
+        voltage.resize(n);
+        current.resize(n);
         for (long a = b; a < e; ++a) {
             const ModulePlacement& anchor =
                 anchors[static_cast<std::size_t>(a)];
@@ -472,12 +474,12 @@ std::vector<double> ideal_anchor_energies(
                                      axis.pack, 0, axis.size(),
                                      options.module_irradiance,
                                      g_buf.data());
+            sample_operating_points(model, g_buf.data(), axis.t_air.data(),
+                                    k_th, n, power.data(), voltage.data(),
+                                    current.data());
             double acc = 0.0;
-            for (std::size_t k = 0; k < axis.steps.size(); ++k) {
-                const pv::OperatingPoint op = sample_operating_point(
-                    model, g_buf[k], axis.t_air[k], k_th);
-                acc += op.power_w * axis.dt_h[k] / 1000.0;
-            }
+            for (std::size_t k = 0; k < n; ++k)
+                acc += power[k] * axis.dt_h[k] / 1000.0;
             out[static_cast<std::size_t>(a)] = acc;
         }
     });

@@ -26,7 +26,7 @@
 /// to <= 1e-9 kWh at every point of any move/swap/rollback sequence.  The
 /// per-sample aggregation replicates evaluate_floorplan's arithmetic — the
 /// same sampled axis (sample_daylight, built once in the constructor), the
-/// same shared kernels (anchor_irradiance_series, sample_operating_point),
+/// same shared kernels (anchor_irradiance_series, sample_operating_points),
 /// the same series/string accumulation order, the same fixed
 /// kStepsPerShard shard grid folded in shard order — so results are also
 /// bitwise-identical at any thread count.

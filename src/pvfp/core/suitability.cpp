@@ -119,10 +119,11 @@ SuitabilityResult compute_suitability(const solar::IrradianceField& field,
               t_base.data());
     }
 
-    // The swept steps, packed once: every cell runs the packed kernel
-    // unit-stride over them, bins the series, counts into scratch on top
-    // of the base counts, and writes its three outputs.  Cells write
-    // disjoint outputs, so the loop parallelizes deterministically.
+    // The swept steps, packed once: every cell runs the footprint kernel
+    // on its 1x1 footprint unit-stride over them, bins the series, counts
+    // into scratch on top of the base counts, and writes its three
+    // outputs.  Cells write disjoint outputs, so the loop parallelizes
+    // deterministically.
     const solar::StepPack pack = field.pack_steps(swept);
     SuitabilityResult out;
     out.suitability = pvfp::Grid2D<double>(w, h, 0.0);
@@ -146,8 +147,9 @@ SuitabilityResult compute_suitability(const solar::IrradianceField& field,
             auto& t_counts = scratch->t_counts;
             for (long c = cb; c < ce; ++c) {
                 const auto [x, y] = cells[static_cast<std::size_t>(c)];
-                field.cell_irradiance_packed_unchecked(
-                    pack, x, y, 0, pack.size(), scratch->g.data());
+                field.footprint_irradiance_packed_unchecked(
+                    pack, x, y, 1, 1, solar::ModuleIrradiance::AnchorCell, 0,
+                    pack.size(), scratch->g.data());
                 solar::detail::bin_series(
                     scratch->g.data(), swept.size(), swept_t_air.data(),
                     k_th, g_axis, t_axis, scratch->g_bins.data(),

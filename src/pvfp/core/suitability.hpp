@@ -16,8 +16,9 @@
 /// width).  Nothing per cell outlives the cell: steps that light no cell
 /// (the nights) are binned once per roof into base counts, the remaining
 /// sampled steps are packed once and swept per cell with the unit-stride
-/// packed kernel, and each cell counts into per-thread scratch on top of
-/// the base counts before its outputs are written.
+/// footprint kernel on a 1x1 footprint, and each cell counts into
+/// per-thread scratch on top of the base counts before its outputs are
+/// written.
 
 #include "pvfp/geo/suitable_area.hpp"
 #include "pvfp/solar/irradiance.hpp"

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <limits>
+#include <locale>
 #include <sstream>
+#include <system_error>
+#include <vector>
 
 #include "pvfp/util/error.hpp"
 
@@ -23,6 +27,110 @@ void mark_seen(bool& seen, const std::string& key) {
     check_io(!seen, "asc_grid: duplicate header key '" + key + "'");
     seen = true;
 }
+
+bool is_space(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// The data value starting at \p p (a non-space byte, or \p end),
+/// advancing \p p past it: exactly what `is >> v` reads from the
+/// classic locale, or the same IoError when it fails.  std::from_chars
+/// parses the common case; the grammar differences are closed
+/// explicitly:
+///  - a leading '+' is accepted, but no second sign;
+///  - "nan" and "inf" are refused (from_chars takes them; "0x1p3" reads
+///    as 0 followed by "x1p3" in both);
+///  - an exponent without digits ("1e", "1.5e+") fails: istream
+///    consumes it, from_chars leaves it unread;
+///  - a value out of double range (from_chars: result_out_of_range)
+///    goes to istream itself, which reads an underflow as +-0 and fails
+///    on an overflow.
+/// A value ends where the number grammar does, so "1.5-2" is two values.
+double next_value(const char*& p, const char* end) {
+    const char* const start = p;
+    const char* digits = p;
+    if (digits != end && (*digits == '+' || *digits == '-')) ++digits;
+    check_io(digits != end && (is_digit(*digits) || *digits == '.'),
+             "asc_grid: truncated data section");
+    double v = 0.0;
+    const auto [stop, ec] =
+        std::from_chars(*start == '+' ? digits : start, end, v);
+    check_io(ec == std::errc() || ec == std::errc::result_out_of_range,
+             "asc_grid: truncated data section");
+    const bool has_exponent =
+        std::find_if(start, stop, [](char c) {
+            return c == 'e' || c == 'E';
+        }) != stop;
+    check_io(has_exponent || stop == end || (*stop != 'e' && *stop != 'E'),
+             "asc_grid: truncated data section");
+    if (ec == std::errc::result_out_of_range) {
+        std::istringstream token(std::string(start, stop));
+        token.imbue(std::locale::classic());
+        check_io(static_cast<bool>(token >> v),
+                 "asc_grid: truncated data section");
+    }
+    p = stop;
+    return v;
+}
+
+/// Streams the data section through a buffer of kChunk bytes (grown
+/// only for a run of non-space bytes longer than the buffer), skipping
+/// whitespace (the classic ctype set) and handing next_value one whole
+/// whitespace-delimited run at a time, so the number grammar always sees
+/// where a value ends.  A fixed chunk keeps memory flat in the tile size
+/// and never makes a large transient allocation.
+class ValueScanner {
+public:
+    explicit ValueScanner(std::istream& is) : is_(is), buf_(kChunk) {}
+
+    double next() {
+        for (;;) {
+            while (pos_ < end_ && is_space(buf_[pos_])) ++pos_;
+            if (pos_ < end_ || !fill()) break;
+        }
+        std::size_t stop = pos_;
+        for (;;) {
+            while (stop < end_ && !is_space(buf_[stop])) ++stop;
+            if (stop < end_) break;
+            const std::size_t scanned = stop - pos_;
+            if (!fill()) break;
+            stop = pos_ + scanned;
+        }
+        const char* p = buf_.data() + pos_;
+        const double v = next_value(p, buf_.data() + stop);
+        pos_ = static_cast<std::size_t>(p - buf_.data());
+        return v;
+    }
+
+private:
+    static constexpr std::size_t kChunk = 64 * 1024;
+
+    /// Move the unread bytes to the front (doubling the buffer when
+    /// they fill it) and read more behind them; false at end of input.
+    bool fill() {
+        if (eof_) return false;
+        std::copy(buf_.begin() + static_cast<long>(pos_),
+                  buf_.begin() + static_cast<long>(end_), buf_.begin());
+        end_ -= pos_;
+        pos_ = 0;
+        if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+        is_.read(buf_.data() + end_,
+                 static_cast<std::streamsize>(buf_.size() - end_));
+        const std::size_t got = static_cast<std::size_t>(is_.gcount());
+        end_ += got;
+        eof_ = !is_;
+        return got > 0;
+    }
+
+    std::istream& is_;
+    std::vector<char> buf_;
+    std::size_t pos_ = 0;  ///< next unread byte
+    std::size_t end_ = 0;  ///< bytes of buf_ holding input
+    bool eof_ = false;
+};
 
 }  // namespace
 
@@ -116,14 +224,11 @@ Raster read_asc_grid(std::istream& is) {
                   origin_x, origin_y);
     raster.set_nodata(header.nodata);
 
-    for (int y = 0; y < raster.height(); ++y) {
-        for (int x = 0; x < raster.width(); ++x) {
-            double v = 0.0;
-            check_io(static_cast<bool>(is >> v),
-                     "asc_grid: truncated data section");
-            raster(x, y) = v;
-        }
-    }
+    // The values a `is >> v` loop would read, scanned in chunks.
+    ValueScanner values(is);
+    for (int y = 0; y < raster.height(); ++y)
+        for (int x = 0; x < raster.width(); ++x)
+            raster(x, y) = values.next();
     return raster;
 }
 

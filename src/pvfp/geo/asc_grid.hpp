@@ -58,6 +58,9 @@ AscHeader read_asc_header(std::istream& is);
 AscHeader read_asc_header_file(const std::string& path);
 
 /// Parse an ASCII grid from a stream; throws IoError on malformed content.
+/// The data section reads exactly the values an `is >> double` loop would
+/// (same grammar, same failures), scanned with std::from_chars through a
+/// fixed-size buffer.
 Raster read_asc_grid(std::istream& is);
 
 /// Parse an ASCII grid file; throws IoError when it cannot be opened.

@@ -17,14 +17,23 @@ void check_topology(const Topology& topology, int module_count) {
 
 PanelOperating aggregate_panel(std::span<const OperatingPoint> points,
                                const Topology& topology) {
+    PanelOperating panel;
+    aggregate_panel(points, topology, panel);
+    return panel;
+}
+
+void aggregate_panel(std::span<const OperatingPoint> points,
+                     const Topology& topology, PanelOperating& panel) {
     check_topology(topology, static_cast<int>(points.size()));
 
-    PanelOperating panel;
-    panel.strings.reserve(static_cast<std::size_t>(topology.strings));
+    panel.current_a = 0.0;
+    panel.ideal_power_w = 0.0;
+    panel.strings.resize(static_cast<std::size_t>(topology.strings));
 
     double min_string_voltage = std::numeric_limits<double>::infinity();
     for (int j = 0; j < topology.strings; ++j) {
-        StringOperating str;
+        StringOperating& str = panel.strings[static_cast<std::size_t>(j)];
+        str.voltage_v = 0.0;
         str.current_a = std::numeric_limits<double>::infinity();
         for (int i = 0; i < topology.series; ++i) {
             const OperatingPoint& op =
@@ -36,13 +45,11 @@ PanelOperating aggregate_panel(std::span<const OperatingPoint> points,
         if (!std::isfinite(str.current_a)) str.current_a = 0.0;
         min_string_voltage = std::min(min_string_voltage, str.voltage_v);
         panel.current_a += str.current_a;
-        panel.strings.push_back(str);
     }
     panel.voltage_v =
         std::isfinite(min_string_voltage) ? min_string_voltage : 0.0;
     panel.power_w = panel.voltage_v * panel.current_a;
     panel.mismatch_loss_w = std::max(0.0, panel.ideal_power_w - panel.power_w);
-    return panel;
 }
 
 }  // namespace pvfp::pv

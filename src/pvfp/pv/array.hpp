@@ -52,6 +52,12 @@ struct PanelOperating {
 PanelOperating aggregate_panel(std::span<const OperatingPoint> points,
                                const Topology& topology);
 
+/// The same aggregation written into \p panel, reusing the capacity of
+/// its strings vector: allocation-free once \p panel has held this
+/// many strings (evaluate_floorplan calls it once per sampled step).
+void aggregate_panel(std::span<const OperatingPoint> points,
+                     const Topology& topology, PanelOperating& panel);
+
 /// Validate a topology against a module count; throws InvalidArgument on
 /// m*n != N or non-positive values.
 void check_topology(const Topology& topology, int module_count);

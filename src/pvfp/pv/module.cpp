@@ -1,6 +1,6 @@
 #include "pvfp/pv/module.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "pvfp/util/error.hpp"
 
@@ -19,31 +19,23 @@ EmpiricalModuleModel::EmpiricalModuleModel(ModuleSpec spec)
 
 double EmpiricalModuleModel::power(double g, double tact_c) const {
     check_arg(g >= 0.0, "EmpiricalModuleModel::power: negative irradiance");
-    const double derate = spec_.p_offset - spec_.p_temp_coeff * tact_c;
-    return std::max(0.0, spec_.p_max_ref_w * derate * 1e-3 * g);
+    return operating_point_unchecked(g, tact_c).power_w;
 }
 
 double EmpiricalModuleModel::voltage(double g, double tact_c) const {
     check_arg(g >= 0.0, "EmpiricalModuleModel::voltage: negative irradiance");
-    if (g == 0.0) return 0.0;  // no illumination, no operating point
-    const double derate = spec_.v_offset - spec_.v_temp_coeff * tact_c;
-    const double g_term = spec_.v_g_offset + spec_.v_g_slope * g;
-    return std::max(0.0, spec_.vmp_ref_v * derate * g_term);
+    return operating_point_unchecked(g, tact_c).voltage_v;
 }
 
 double EmpiricalModuleModel::current(double g, double tact_c) const {
-    const double v = voltage(g, tact_c);
-    if (v <= 0.0) return 0.0;
-    return power(g, tact_c) / v;
+    check_arg(g >= 0.0, "EmpiricalModuleModel::voltage: negative irradiance");
+    return operating_point_unchecked(g, tact_c).current_a;
 }
 
 OperatingPoint EmpiricalModuleModel::operating_point(double g,
                                                      double tact_c) const {
-    OperatingPoint op;
-    op.power_w = power(g, tact_c);
-    op.voltage_v = voltage(g, tact_c);
-    op.current_a = (op.voltage_v > 0.0) ? op.power_w / op.voltage_v : 0.0;
-    return op;
+    check_arg(g >= 0.0, "EmpiricalModuleModel::power: negative irradiance");
+    return operating_point_unchecked(g, tact_c);
 }
 
 double EmpiricalModuleModel::actual_temperature(double t_air_c, double g,

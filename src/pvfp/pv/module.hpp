@@ -18,6 +18,7 @@
 /// corrections".  The temperature coefficients match the datasheet's
 /// -0.48 %/K (power) and -0.345 %/K (Voc).
 
+#include <algorithm>
 #include <string>
 
 namespace pvfp::pv {
@@ -75,6 +76,23 @@ public:
 
     /// All three at once.
     OperatingPoint operating_point(double g, double tact_c) const;
+
+    /// operating_point without the g >= 0 check, for callers that
+    /// validated their samples once (core::sample_operating_points).  The
+    /// one copy of the model's arithmetic — every accessor above runs
+    /// it — and branch-free, so a loop over samples vectorizes.
+    OperatingPoint operating_point_unchecked(double g, double tact_c) const {
+        const double p_derate = spec_.p_offset - spec_.p_temp_coeff * tact_c;
+        const double p =
+            std::max(0.0, spec_.p_max_ref_w * p_derate * 1e-3 * g);
+        // No illumination, no operating point.
+        const double v_derate = spec_.v_offset - spec_.v_temp_coeff * tact_c;
+        const double g_term = spec_.v_g_offset + spec_.v_g_slope * g;
+        const double v =
+            g == 0.0 ? 0.0
+                     : std::max(0.0, spec_.vmp_ref_v * v_derate * g_term);
+        return {p, v, v > 0.0 ? p / v : 0.0};
+    }
 
     /// Tact = Tair + k*G (paper Section III-B1 step 3; k = alpha/h_c).
     static double actual_temperature(double t_air_c, double g,

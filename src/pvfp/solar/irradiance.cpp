@@ -65,7 +65,7 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
                       normals_.height() == horizon_.window_height(),
                   "IrradianceField: normal map does not match the window");
     }
-    // The packed kernels address horizon sector planes through int32
+    // The footprint kernels address horizon sector planes through int32
     // offsets; a window large enough to overflow them would not fit in
     // memory anyway, but fail loudly rather than wrap.
     check_arg(horizon_.cell_count() *
@@ -134,7 +134,7 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
 
         // Horizon interpolation weights for this step's sun azimuth —
         // exactly the arithmetic of HorizonMap::horizon_at_unchecked, so
-        // the packed kernels reproduce the scalar lookup bit for bit.
+        // the footprint kernels reproduce the scalar lookup bit for bit.
         const double pos =
             wrap_two_pi(static_cast<double>(sun_azimuth_[si])) / kTwoPi *
             sectors;
@@ -237,22 +237,24 @@ void IrradianceField::cell_irradiance_packed(const StepPack& pack, int x,
               "IrradianceField: cell out of range");
     check_arg(p0 >= 0 && p0 <= p1 && p1 <= pack.size(),
               "IrradianceField: packed range out of range");
-    cell_irradiance_packed_unchecked(pack, x, y, p0, p1, out);
+    footprint_irradiance_packed_unchecked(pack, x, y, 1, 1,
+                                          ModuleIrradiance::AnchorCell, p0,
+                                          p1, out);
 }
 
-void IrradianceField::cell_irradiance_packed_unchecked(const StepPack& pack,
-                                                       int x, int y, long p0,
-                                                       long p1,
-                                                       double* out) const {
-    assert(x >= 0 && x < width() && y >= 0 && y < height());
+void IrradianceField::footprint_irradiance_packed_unchecked(
+    const StepPack& pack, int x, int y, int k1, int k2,
+    ModuleIrradiance mode, long p0, long p1, double* out) const {
+    assert(k1 >= 1 && k2 >= 1 && x >= 0 && y >= 0 && x + k1 <= width() &&
+           y + k2 <= height());
     assert(p0 >= 0 && p0 <= p1 && p1 <= pack.size());
     if (p0 == p1) return;
     const detail::FieldView v = view(pack);
     if (simd_level() == SimdLevel::Avx512 &&
         detail::avx512_kernels_compiled())
-        detail::cell_packed_avx512(v, x, y, p0, p1, out);
+        detail::footprint_packed_avx512(v, x, y, k1, k2, mode, p0, p1, out);
     else
-        detail::cell_packed_scalar(v, x, y, p0, p1, out);
+        detail::footprint_packed_scalar(v, x, y, k1, k2, mode, p0, p1, out);
 }
 
 double IrradianceField::cell_module_temperature(int x, int y, long s) const {

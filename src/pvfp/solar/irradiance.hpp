@@ -21,12 +21,14 @@
 /// weights (sector pair + fraction, fixed per step) are precomputed.
 /// The one batched entry point sweeps a *packed* step axis: pack_steps()
 /// copies the per-step planes of any step list into a StepPack,
-/// contiguous in list order, and cell_irradiance_packed sweeps a pack
-/// unit-stride for one cell — no gathers, no lanes for unlisted steps —
-/// as a branch-free SIMD-friendly loop.  It is *bitwise identical* to the
-/// scalar cell_irradiance_unchecked per step, at any SIMD level (see
-/// util/simd.hpp for the dispatch contract).  Every batched caller
-/// (compute_suitability, evaluate_floorplan, the IncrementalEvaluator,
+/// contiguous in list order, and footprint_irradiance_packed_unchecked
+/// sweeps a pack unit-stride for one module footprint — no lanes for
+/// unlisted steps — loading each step's planes once and folding the
+/// footprint's cells in registers.  It is *bitwise identical* to the
+/// scalar cell_irradiance_unchecked per cell and step, folded in (y, x)
+/// cell order, at any SIMD level (see util/simd.hpp for the dispatch
+/// contract).  Every batched caller (compute_suitability with 1x1
+/// footprints, evaluate_floorplan, the IncrementalEvaluator,
 /// ideal_anchor_energies) packs its sampled axis once per call.
 
 #include <cassert>
@@ -44,6 +46,18 @@
 
 namespace pvfp::solar {
 
+/// How a multi-cell module footprint aggregates its cells' irradiance.
+enum class ModuleIrradiance {
+    FootprintMean,  ///< average over covered cells (default, physical)
+    WorstCell,      ///< pessimistic: minimum over covered cells
+    /// The paper's granularity: the module takes the G/T of its anchor
+    /// grid point ("each grid point has a specific value of G and T",
+    /// Section III-A).  Cell-scale variance then transfers 1:1 into
+    /// module output instead of averaging out — required to reproduce
+    /// Table I magnitudes; see the evaluation-granularity ablation.
+    AnchorCell,
+};
+
 /// Static configuration of the field.
 struct FieldConfig {
     Location location;
@@ -56,7 +70,7 @@ struct FieldConfig {
     double thermal_k = 1.0 / 30.0;
 };
 
-/// The per-step planes the packed kernel reads, over a list of steps:
+/// The per-step planes the footprint kernel reads, over a list of steps:
 /// entry k holds bitwise copies of the values of step steps[k], so a
 /// kernel sweeping a pack reproduces the scalar per-step values bit for
 /// bit.  The field keeps its own planes over all its steps in one, and
@@ -123,7 +137,7 @@ private:
 namespace detail {
 
 /// Raw pointer view of one StepPack's planes plus the field's cell
-/// planes, consumed by the scalar and AVX-512 packed kernels
+/// planes, consumed by the scalar and AVX-512 footprint kernels
 /// (irradiance_kernels.hpp).  Pointers stay valid while both the owning
 /// IrradianceField and the pack live.
 struct FieldView {
@@ -246,21 +260,28 @@ public:
     /// step steps[k].  Validates every step (throws InvalidArgument).
     StepPack pack_steps(std::span<const long> steps) const;
 
-    /// The batched kernel: out[k] = cell_irradiance of cell (x, y) at the
-    /// step \p pack holds at index p0 + k, for k in [0, p1 - p0) — the
-    /// gather-free unit-stride sweep.  \p pack must come from this
-    /// field's pack_steps.  Bitwise identical to
-    /// cell_irradiance_unchecked on the packed steps at any SIMD level.
+    /// out[k] = cell_irradiance of cell (x, y) at the step \p pack holds
+    /// at index p0 + k, for k in [0, p1 - p0): the batched kernel on a
+    /// 1x1 footprint.  \p pack must come from this field's pack_steps.
     /// Validates the cell and packed range (throws InvalidArgument).
     void cell_irradiance_packed(const StepPack& pack, int x, int y, long p0,
                                 long p1, double* out) const;
 
-    /// Unchecked fast path of the call above.  Preconditions
-    /// (debug-asserted): cell inside the window,
-    /// 0 <= p0 <= p1 <= pack.size().
-    void cell_irradiance_packed_unchecked(const StepPack& pack, int x, int y,
-                                          long p0, long p1,
-                                          double* out) const;
+    /// The batched kernel: out[k] = the irradiance of the k1 x k2
+    /// footprint anchored at (x, y) at the step \p pack holds at index
+    /// p0 + k, for k in [0, p1 - p0), aggregated by \p mode:
+    /// FootprintMean sums the cells in (y, x) order from +0.0 and
+    /// divides by k1 * k2; WorstCell folds std::min(acc, cell) from
+    /// +Inf in the same order; AnchorCell writes cell (x, y) alone.
+    /// Bitwise identical to that fold of cell_irradiance_unchecked at
+    /// any SIMD level.  \p pack must come from this field's pack_steps.
+    /// Preconditions (debug-asserted): k1, k2 >= 1, footprint inside the
+    /// window, 0 <= p0 <= p1 <= pack.size().
+    void footprint_irradiance_packed_unchecked(const StepPack& pack, int x,
+                                               int y, int k1, int k2,
+                                               ModuleIrradiance mode,
+                                               long p0, long p1,
+                                               double* out) const;
 
     /// Module temperature [deg C] at the cell: Tair + k * G.
     double cell_module_temperature(int x, int y, long s) const;
@@ -274,7 +295,7 @@ public:
 
 private:
     /// Raw SoA plane view of \p pack and the cell planes, consumed by
-    /// the packed kernels (irradiance_kernels.hpp); pointers are
+    /// the footprint kernels (irradiance_kernels.hpp); pointers are
     /// invalidated by destroying the field or the pack.
     detail::FieldView view(const StepPack& pack) const;
 

@@ -1,6 +1,7 @@
 #include "pvfp/solar/irradiance_kernels.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "pvfp/util/simd.hpp"
 
@@ -20,18 +21,20 @@ namespace pvfp::solar::detail {
 // (float normal components times float sun components, the scalar
 // path's expression), with the uniform plane it is double arithmetic.
 
-void cell_packed_scalar(const FieldView& f, int x, int y, long p0, long p1,
-                        double* out) {
-    // Unit-stride sweep over the packed planes, which are bitwise copies
-    // of the step planes, so the expression below reproduces the scalar
-    // reference bit for bit.  The full lit condition stays: a packed
-    // step can still have beam_eq == 0 (no beam in the weather series)
-    // or a sun at or below the horizon (a sampled night step), and the
-    // float-cast sun elevation of a barely-risen sun can round to 0.0f.
-    const long ci = static_cast<long>(y) * f.width + x;
+namespace {
+
+/// out[k] = G(cell ci, packed entry p0 + k) for k in [0, n): the
+/// unit-stride sweep of one cell over the packed planes, which are
+/// bitwise copies of the step planes, so the expression below
+/// reproduces the scalar reference bit for bit.  The full lit condition
+/// stays: a packed step can still have beam_eq == 0 (no beam in the
+/// weather series) or a sun at or below the horizon (a sampled night
+/// step), and the float-cast sun elevation of a barely-risen sun can
+/// round to 0.0f.
+void cell_run_scalar(const FieldView& f, long ci, long p0, std::size_t n,
+                     double* out) {
     const double svf = f.svf[ci];
     const float* angles_cell = f.angles + ci;
-    const std::size_t n = static_cast<std::size_t>(p1 - p0);
     const float* beam_p = f.beam_eq + p0;
     const float* sky_p = f.sky_diffuse + p0;
     const float* refl_p = f.reflected + p0;
@@ -80,6 +83,46 @@ void cell_packed_scalar(const FieldView& f, int x, int y, long p0, long p1,
         const double add =
             lit ? static_cast<double>(beam_p[k]) * cosi : 0.0;
         out[k] = base + add;
+    }
+}
+
+}  // namespace
+
+void footprint_packed_scalar(const FieldView& f, int x, int y, int k1,
+                             int k2, ModuleIrradiance mode, long p0, long p1,
+                             double* out) {
+    const long ci0 = static_cast<long>(y) * f.width + x;
+    if (mode == ModuleIrradiance::AnchorCell) {
+        cell_run_scalar(f, ci0, p0, static_cast<std::size_t>(p1 - p0), out);
+        return;
+    }
+    // Per-cell composition over blocks of steps small enough to stay in
+    // L1: each footprint cell sweeps the block into a stack buffer that
+    // folds into the output block in (yy, xx) order — per step exactly
+    // the additions / mins of the scalar fold.
+    constexpr long kBlock = 64;
+    double cell[kBlock];
+    const bool worst = mode == ModuleIrradiance::WorstCell;
+    const double count = static_cast<double>(k1 * k2);
+    for (long b = p0; b < p1; b += kBlock) {
+        const std::size_t n = static_cast<std::size_t>(std::min(kBlock,
+                                                                p1 - b));
+        double* const acc = out + (b - p0);
+        std::fill(acc, acc + n,
+                  worst ? std::numeric_limits<double>::infinity() : 0.0);
+        for (int yy = 0; yy < k2; ++yy)
+            for (int xx = 0; xx < k1; ++xx) {
+                cell_run_scalar(f, ci0 + static_cast<long>(yy) * f.width + xx,
+                                b, n, cell);
+                if (worst) {
+                    for (std::size_t k = 0; k < n; ++k)
+                        acc[k] = std::min(acc[k], cell[k]);
+                } else {
+                    for (std::size_t k = 0; k < n; ++k) acc[k] += cell[k];
+                }
+            }
+        if (!worst)
+            for (std::size_t k = 0; k < n; ++k) acc[k] /= count;
     }
 }
 

@@ -52,4 +52,10 @@ inline void check_io(bool condition, const std::string& message) {
     if (!condition) throw IoError(message);
 }
 
+/// Literal-message overload, as for check_arg: the ASC data scanner
+/// checks every value.
+inline void check_io(bool condition, const char* message) {
+    if (!condition) throw IoError(message);
+}
+
 }  // namespace pvfp

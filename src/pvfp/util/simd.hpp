@@ -7,9 +7,8 @@
 /// level runs every twin whose ISA it includes:
 ///
 ///   kernel                    twin     levels that run the twin
-///   irradiance row/series/    AVX-512  avx512
-///     packed + suitability
-///     binning
+///   irradiance footprint +    AVX-512  avx512
+///     suitability binning
 ///   horizon row march         AVX2     avx2, avx512
 ///   sky geometry/transpose    none     (scalar everywhere)
 ///

@@ -1,17 +1,23 @@
 /// \file test_batched_kernels.cpp
-/// Property suite for the batched SoA irradiance kernel: the packed
-/// kernel (fixed cell, run of a StepPack) and the footprint-level
-/// anchor_irradiance_series over a pack must be *bitwise equal* to the
-/// scalar cell_irradiance_unchecked / anchor_irradiance_unchecked loops
-/// across randomized roofs, step lists (strided, with nights, scrambled),
-/// per-cell normals on/off, both sky models, and every runnable SIMD
-/// level.  This is the determinism contract that lets the evaluator,
-/// suitability, and incremental-evaluator hot paths run through the
-/// kernel without moving a single golden digit.  The suitability binning
-/// kernel (bin_series) is pinned against Histogram::bin_index.
+/// Property suite for the batched SoA irradiance kernel: the footprint
+/// kernel (one k1 x k2 footprint, run of a StepPack) — through
+/// cell_irradiance_packed (1x1), anchor_irradiance_series, and
+/// footprint_irradiance_packed_unchecked itself — must be *bitwise
+/// equal* to the scalar cell_irradiance_unchecked /
+/// anchor_irradiance_unchecked loops across randomized roofs, step lists
+/// (strided, with nights, scrambled), footprint shapes on every window
+/// edge, all three fold modes, run lengths 0-17 and shard tails,
+/// per-cell normals on/off, a NaN sky-view factor, both sky models, and
+/// every runnable SIMD level.  This is the determinism contract that lets
+/// the evaluator, suitability, and incremental-evaluator hot paths run
+/// through the kernel without moving a single golden digit.  The batched
+/// operating points (sample_operating_points) are pinned against the
+/// scalar sample_operating_point, and the suitability binning kernel
+/// (bin_series) against Histogram::bin_index.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -22,6 +28,7 @@
 #include "pvfp/core/evaluator.hpp"
 #include "pvfp/core/suitability.hpp"
 #include "pvfp/geo/raster.hpp"
+#include "pvfp/pv/module.hpp"
 #include "pvfp/solar/irradiance.hpp"
 #include "pvfp/solar/irradiance_kernels.hpp"
 #include "pvfp/util/rng.hpp"
@@ -48,6 +55,9 @@ struct RandomFieldSpec {
     int width = 19;  ///< odd width exercises the SIMD tail loops
     int height = 7;
     int days = 3;
+    /// Window cell (row-major index) whose sky-view factor is replaced
+    /// by NaN, or -1 for none.
+    long nan_svf_cell = -1;
 };
 
 /// A small rough roof with random obstacles and random (sometimes zero,
@@ -83,6 +93,20 @@ solar::IrradianceField random_field(const RandomFieldSpec& spec) {
     hopt.azimuth_sectors = 24;
     hopt.max_distance = 12.0;
     geo::HorizonMap horizon(dsm, 2, 2, spec.width, spec.height, hopt);
+    if (spec.nan_svf_cell >= 0) {
+        const std::size_t planes = static_cast<std::size_t>(
+            horizon.cell_count() * horizon.sectors());
+        std::vector<float> angles(horizon.angles_data(),
+                                  horizon.angles_data() + planes);
+        std::vector<float> svf(
+            horizon.svf_data(),
+            horizon.svf_data() + horizon.cell_count());
+        svf[static_cast<std::size_t>(spec.nan_svf_cell)] =
+            std::numeric_limits<float>::quiet_NaN();
+        horizon = geo::HorizonMap::from_planes(
+            2, 2, spec.width, spec.height, horizon.sectors(),
+            std::move(angles), std::move(svf));
+    }
     geo::NormalMap normals;
     if (spec.normals)
         normals = geo::NormalMap::from_dsm(dsm, 2, 2, spec.width,
@@ -220,6 +244,174 @@ TEST(BatchedKernels, AnchorSeriesMatchesScalarAcrossModes) {
             set_simd_level(level);
             expect_anchor_series_matches(field, spec.seed + 13);
         }
+    }
+}
+
+/// Bitwise equality, NaN payloads included (a NaN sky-view factor makes
+/// the footprint mean NaN).
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Packed runs for the footprint kernel over a pack of \p n steps: every
+/// length 0-17 from entry 0 and from entry 3 (partial 8-step vectors and
+/// tails of every width), the pack's tail of each such length, and the
+/// runs of the evaluator's shard grid over \p axis.
+std::vector<std::pair<long, long>> footprint_runs(
+    long n, const core::DaylightAxis& axis) {
+    std::vector<std::pair<long, long>> runs;
+    for (long len = 0; len <= 17; ++len)
+        for (const long p0 : {0L, 3L, n - len})
+            if (p0 >= 0 && p0 + len <= n) runs.emplace_back(p0, p0 + len);
+    for (long c = 0; c < axis.shards(); ++c)
+        runs.emplace_back(axis.shard_offsets[static_cast<std::size_t>(c)],
+                          axis.shard_offsets[static_cast<std::size_t>(c) + 1]);
+    return runs;
+}
+
+/// The footprint kernel against the scalar per-step fold, for every
+/// mode, the landscape 8x4 and portrait 4x8 module footprints plus 1x1
+/// and 3x2, anchored against each window edge and inside.
+void expect_footprint_matches(const solar::IrradianceField& field) {
+    const core::DaylightAxis axis = core::sample_daylight(field, 1);
+    const solar::StepPack& pack = axis.pack;
+    std::vector<double> out(static_cast<std::size_t>(pack.size()) + 1);
+    const double canary = -12345.0;
+    for (const core::PanelGeometry geometry :
+         {core::PanelGeometry{8, 4}, core::PanelGeometry{4, 8},
+          core::PanelGeometry{1, 1}, core::PanelGeometry{3, 2}}) {
+        const int x_max = field.width() - geometry.k1;
+        const int y_max = field.height() - geometry.k2;
+        for (const auto mode :
+             {core::ModuleIrradiance::FootprintMean,
+              core::ModuleIrradiance::WorstCell,
+              core::ModuleIrradiance::AnchorCell})
+            for (const int y : {0, y_max / 2, y_max})
+                for (const int x : {0, x_max / 2, x_max})
+                    for (const auto& [p0, p1] :
+                         footprint_runs(pack.size(), axis)) {
+                        const std::size_t n =
+                            static_cast<std::size_t>(p1 - p0);
+                        std::fill(out.begin(), out.end(), canary);
+                        field.footprint_irradiance_packed_unchecked(
+                            pack, x, y, geometry.k1, geometry.k2, mode, p0,
+                            p1, out.data());
+                        ASSERT_EQ(out[n], canary)
+                            << "wrote past the run of " << n;
+                        for (long p = p0; p < p1; ++p) {
+                            const double want =
+                                core::anchor_irradiance_unchecked(
+                                    geometry, x, y, field,
+                                    axis.steps[static_cast<std::size_t>(p)],
+                                    mode);
+                            ASSERT_TRUE(same_bits(
+                                out[static_cast<std::size_t>(p - p0)], want))
+                                << geometry.k1 << "x" << geometry.k2
+                                << " at x=" << x << " y=" << y << " mode="
+                                << static_cast<int>(mode) << " run [" << p0
+                                << ", " << p1 << ") p=" << p << ": "
+                                << out[static_cast<std::size_t>(p - p0)]
+                                << " != " << want;
+                        }
+                    }
+    }
+}
+
+TEST(BatchedKernels, FootprintKernelMatchesScalarFold) {
+    SimdLevelGuard guard;
+    for (RandomFieldSpec spec : all_specs()) {
+        spec.width = 21;
+        spec.height = 11;
+        spec.days = 2;
+        const auto field = random_field(spec);
+        for (const SimdLevel level : runnable_levels()) {
+            set_simd_level(level);
+            SCOPED_TRACE(simd_level_name(level));
+            expect_footprint_matches(field);
+        }
+    }
+}
+
+TEST(BatchedKernels, FootprintKernelMatchesWithNanSkyViewFactor) {
+    // A NaN sky-view factor poisons the NaN cell's G: the mean of a
+    // footprint holding it is NaN, the worst-cell fold skips it
+    // (std::min keeps the accumulator against NaN), and every level
+    // must reproduce both bit for bit.
+    SimdLevelGuard guard;
+    for (const bool normals : {false, true}) {
+        RandomFieldSpec spec;
+        spec.seed = 77;
+        spec.normals = normals;
+        spec.width = 21;
+        spec.height = 11;
+        spec.days = 2;
+        spec.nan_svf_cell = 5L * spec.width + 10;  // inside every middle
+        const auto field = random_field(spec);
+        ASSERT_TRUE(std::isnan(field.horizon().sky_view_factor(10, 5)));
+        for (const SimdLevel level : runnable_levels()) {
+            set_simd_level(level);
+            SCOPED_TRACE(simd_level_name(level));
+            expect_footprint_matches(field);
+        }
+    }
+}
+
+TEST(BatchedKernels, OperatingPointBatchMatchesScalar) {
+    const pv::EmpiricalModuleModel model;
+    const double k_th = 1.0 / 30.0;
+    Rng rng(9);
+    std::vector<double> g;
+    std::vector<double> t_air;
+    for (int k = 0; k < 37; ++k) {
+        // Dark samples (g = 0) interleave with lit ones; odd counts leave
+        // vector tails.
+        g.push_back(k % 5 == 0 ? 0.0 : rng.uniform(0.0, 1300.0));
+        t_air.push_back(rng.uniform(-25.0, 45.0));
+    }
+    g.push_back(1e-300);
+    t_air.push_back(250.0);  // derate below zero: clamped power
+    const std::size_t n = g.size();
+    std::vector<double> power(n), voltage(n), current(n);
+    core::sample_operating_points(model, g.data(), t_air.data(), k_th, n,
+                                  power.data(), voltage.data(),
+                                  current.data());
+    for (std::size_t k = 0; k < n; ++k) {
+        const pv::OperatingPoint op =
+            core::sample_operating_point(model, g[k], t_air[k], k_th);
+        EXPECT_TRUE(same_bits(power[k], op.power_w)) << "k=" << k;
+        EXPECT_TRUE(same_bits(voltage[k], op.voltage_v)) << "k=" << k;
+        EXPECT_TRUE(same_bits(current[k], op.current_a)) << "k=" << k;
+    }
+    EXPECT_EQ(voltage[0], 0.0);
+    EXPECT_EQ(current[0], 0.0);
+    EXPECT_EQ(power[n - 1], 0.0);
+
+    // One invalid sample anywhere fails the whole batch, before any
+    // output is written, with the scalar call's message.
+    core::sample_operating_points(model, g.data(), t_air.data(), k_th, 0,
+                                  nullptr, nullptr, nullptr);
+    for (const double bad : {-1.0, -0.5e-300,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+        std::vector<double> with_bad = g;
+        with_bad[n / 2] = bad;
+        std::string scalar_what;
+        try {
+            core::sample_operating_point(model, bad, 20.0, k_th);
+        } catch (const InvalidArgument& e) {
+            scalar_what = e.what();
+        }
+        ASSERT_FALSE(scalar_what.empty()) << "g=" << bad;
+        std::vector<double> untouched(n, 7.0);
+        try {
+            core::sample_operating_points(model, with_bad.data(),
+                                          t_air.data(), k_th, n,
+                                          untouched.data(), voltage.data(),
+                                          current.data());
+            ADD_FAILURE() << "no throw for g=" << bad;
+        } catch (const InvalidArgument& e) {
+            EXPECT_EQ(std::string(e.what()), scalar_what);
+        }
+        EXPECT_EQ(untouched, std::vector<double>(n, 7.0));
     }
 }
 

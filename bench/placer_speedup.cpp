@@ -5,7 +5,9 @@
 /// Both paths run the identical proposal sequence (same seed, same RNG
 /// stream), so the wall-time ratio is a pure evaluation-cost comparison.
 /// `--json <path>` emits one record per timed section with the `threads`
-/// field, feeding the BENCH_* trajectory collection.
+/// field, feeding the BENCH_* trajectory collection.  Exits 1 when the
+/// two paths disagree on the refined energy or the accepted-move count:
+/// both score through the same fold, so any difference is a bug.
 
 #include <chrono>
 #include <iostream>
@@ -109,9 +111,13 @@ int main(int argc, char** argv) {
               << "Evaluator: " << ev_stats.proposals << " proposals, "
               << ev_stats.series_computed << " anchor series computed, "
               << ev_stats.series_reused
-              << " reused from the anchor cache, 1 full pass\n"
-              << "\nAcceptance gate (ISSUE 3): the incremental path must "
-                 "be >= 10x faster\non the golden toy roof; both paths "
-                 "propose the identical move sequence.\n";
+              << " reused from the anchor cache, 1 full pass\n";
+    if (full_stats.final_objective != inc_stats.final_objective ||
+        full_stats.accepted != inc_stats.accepted) {
+        std::cerr << "placer_speedup: the incremental path diverged from "
+                     "full re-evaluation (refined kWh or accepted count "
+                     "differ)\n";
+        return 1;
+    }
     return 0;
 }

@@ -1,6 +1,7 @@
 #include "pvfp/core/evaluator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -11,33 +12,22 @@
 namespace pvfp::core {
 namespace {
 
-/// Per-shard accumulator: the time-dependent slice of EvaluationResult.
-/// Shards cover disjoint step ranges and are merged in shard order, so
-/// the fold is associative-by-construction and bitwise-reproducible.
-struct Partial {
-    double energy_kwh = 0.0;
-    double ideal_energy_kwh = 0.0;
-    double mismatch_loss_kwh = 0.0;
-    double wiring_loss_kwh = 0.0;
-    std::vector<double> string_energy_kwh;
-    std::vector<double> string_wiring_loss_kwh;
-
-    explicit Partial(std::size_t n_strings = 0)
-        : string_energy_kwh(n_strings, 0.0),
-          string_wiring_loss_kwh(n_strings, 0.0) {}
+/// Per-shard buffers of fold_energy.
+struct FoldScratch {
+    ModuleScratch module;
+    std::vector<double> v;        ///< one string's voltage sum per sample
+    std::vector<double> min_v;    ///< min over strings
+    std::vector<double> panel_i;  ///< current sum over strings
+    std::vector<double> ideal;
+    std::vector<double> volt;
+    std::vector<double> power;
+    std::vector<double> wiring;
+    std::vector<double> cur;   ///< n_strings x samples, string-major
+    std::vector<double> loss;  ///< n_strings x samples, string-major
+    /// This shard's string energies, then string wiring losses (kept
+    /// here, not in the shared rows, so threads never share their lines).
+    std::vector<double> string_sums;
 };
-
-Partial merge(Partial acc, const Partial& p) {
-    acc.energy_kwh += p.energy_kwh;
-    acc.ideal_energy_kwh += p.ideal_energy_kwh;
-    acc.mismatch_loss_kwh += p.mismatch_loss_kwh;
-    acc.wiring_loss_kwh += p.wiring_loss_kwh;
-    for (std::size_t j = 0; j < acc.string_energy_kwh.size(); ++j) {
-        acc.string_energy_kwh[j] += p.string_energy_kwh[j];
-        acc.string_wiring_loss_kwh[j] += p.string_wiring_loss_kwh[j];
-    }
-    return acc;
-}
 
 }  // namespace
 
@@ -142,144 +132,224 @@ double module_irradiance(const Floorplan& plan, int module_index,
                                        mode);
 }
 
+EnergyTotals fold_energy(const DaylightAxis& axis, const pv::Topology& topology,
+                         std::span<const double> extra_lengths,
+                         const EvaluationOptions& options,
+                         const ModuleRun& module_run) {
+    const int m = topology.series;
+    const int n_str = topology.strings;
+    const bool wiring_on = options.include_wiring_loss;
+    // Pooled across calls: a delta probe reuses the previous fold's
+    // buffers instead of allocating them.
+    static ScratchPool<FoldScratch> scratch_pool;
+    // One row of totals per shard: energy, ideal, mismatch, wiring, then
+    // n_str string energies and n_str string wiring losses.
+    const std::size_t width = 4 + 2 * static_cast<std::size_t>(n_str);
+    std::vector<double> rows(static_cast<std::size_t>(axis.shards()) * width,
+                             0.0);
+
+    // One shard per chunk.  The per-sample work is phrased as elementwise
+    // passes over contiguous SoA streams — string voltage sums, the series
+    // current min, the ideal-power sum, then the wiring / net folds — so
+    // the compiler vectorizes each pass, while every accumulator is still
+    // folded sample by sample in ascending k, string by string in
+    // ascending j: the summation order pv::aggregate_panel and
+    // pv::wiring_power_loss give per sample.
+    parallel_for(0L, axis.shards(), 1L, [&](long c, long) {
+        const std::size_t kb = static_cast<std::size_t>(
+            axis.shard_offsets[static_cast<std::size_t>(c)]);
+        const std::size_t ke = static_cast<std::size_t>(
+            axis.shard_offsets[static_cast<std::size_t>(c) + 1]);
+        const std::size_t nk = ke - kb;
+        if (nk == 0) return;
+        auto sc = scratch_pool.acquire();
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        sc->v.resize(nk);
+        sc->min_v.assign(nk, kInf);
+        sc->panel_i.assign(nk, 0.0);
+        sc->ideal.assign(nk, 0.0);
+        sc->volt.resize(nk);
+        sc->power.resize(nk);
+        sc->wiring.assign(nk, 0.0);
+        sc->cur.resize(static_cast<std::size_t>(n_str) * nk);
+        sc->loss.resize(static_cast<std::size_t>(n_str) * nk);
+
+        double* const v = sc->v.data();
+        double* const ideal = sc->ideal.data();
+        double* const min_v = sc->min_v.data();
+        double* const panel_i = sc->panel_i.data();
+        for (int j = 0; j < n_str; ++j) {
+            double* const cur =
+                sc->cur.data() + static_cast<std::size_t>(j) * nk;
+            std::fill(v, v + nk, 0.0);
+            std::fill(cur, cur + nk, kInf);
+            for (int i = 0; i < m; ++i) {
+                const ModuleSeries s =
+                    module_run(j * m + i, static_cast<long>(kb),
+                               static_cast<long>(ke), sc->module);
+                for (std::size_t k = 0; k < nk; ++k)
+                    v[k] += s.voltage_v[k];
+                for (std::size_t k = 0; k < nk; ++k)
+                    cur[k] = std::min(cur[k], s.current_a[k]);
+                for (std::size_t k = 0; k < nk; ++k)
+                    ideal[k] += s.power_w[k];
+            }
+            for (std::size_t k = 0; k < nk; ++k)
+                if (!std::isfinite(cur[k])) cur[k] = 0.0;
+            for (std::size_t k = 0; k < nk; ++k)
+                min_v[k] = std::min(min_v[k], v[k]);
+            for (std::size_t k = 0; k < nk; ++k)
+                panel_i[k] += cur[k];
+        }
+        double* const volt = sc->volt.data();
+        double* const power = sc->power.data();
+        for (std::size_t k = 0; k < nk; ++k)
+            volt[k] = std::isfinite(min_v[k]) ? min_v[k] : 0.0;
+        for (std::size_t k = 0; k < nk; ++k)
+            power[k] = volt[k] * panel_i[k];
+
+        double* const wiring = sc->wiring.data();
+        if (wiring_on) {
+            for (int j = 0; j < n_str; ++j) {
+                const double extra =
+                    extra_lengths[static_cast<std::size_t>(j)];
+                check_arg(extra >= 0.0,
+                          "wiring_power_loss: negative length");
+                // ((R * extra) * I) * I: the association of
+                // pv::wiring_power_loss.
+                const double rl =
+                    options.wiring.resistance_ohm_per_m * extra;
+                const double* const cur =
+                    sc->cur.data() + static_cast<std::size_t>(j) * nk;
+                double* const loss =
+                    sc->loss.data() + static_cast<std::size_t>(j) * nk;
+                for (std::size_t k = 0; k < nk; ++k)
+                    loss[k] = rl * cur[k] * cur[k];
+                for (std::size_t k = 0; k < nk; ++k)
+                    wiring[k] += loss[k];
+            }
+        }
+
+        // Sample-order fold into the shard's totals (the reduction the
+        // determinism contract pins).
+        sc->string_sums.assign(2 * static_cast<std::size_t>(n_str), 0.0);
+        double* const string_energy = sc->string_sums.data();
+        double* const string_wiring = string_energy + n_str;
+        double energy = 0.0;
+        double ideal_e = 0.0;
+        double mismatch = 0.0;
+        double wiring_e = 0.0;
+        for (std::size_t k = 0; k < nk; ++k) {
+            const double dt_h = axis.dt_h[kb + k];
+            if (wiring_on) {
+                for (int j = 0; j < n_str; ++j)
+                    string_wiring[j] +=
+                        sc->loss[static_cast<std::size_t>(j) * nk + k] *
+                        dt_h / 1000.0;
+            }
+            const double net = std::max(0.0, power[k] - wiring[k]);
+            energy += net * dt_h / 1000.0;
+            ideal_e += ideal[k] * dt_h / 1000.0;
+            mismatch +=
+                std::max(0.0, ideal[k] - power[k]) * dt_h / 1000.0;
+            wiring_e += wiring[k] * dt_h / 1000.0;
+            for (int j = 0; j < n_str; ++j)
+                string_energy[j] +=
+                    volt[k] *
+                    sc->cur[static_cast<std::size_t>(j) * nk + k] *
+                    dt_h / 1000.0;
+        }
+        double* const row = rows.data() + static_cast<std::size_t>(c) * width;
+        row[0] = energy;
+        row[1] = ideal_e;
+        row[2] = mismatch;
+        row[3] = wiring_e;
+        std::copy(sc->string_sums.begin(), sc->string_sums.end(), row + 4);
+    });
+
+    // Merge the rows in shard order: the same bits at any thread count.
+    EnergyTotals total;
+    total.string_energy_kwh.assign(static_cast<std::size_t>(n_str), 0.0);
+    total.string_wiring_loss_kwh.assign(static_cast<std::size_t>(n_str), 0.0);
+    for (std::size_t at = 0; at < rows.size(); at += width) {
+        const double* const row = rows.data() + at;
+        total.energy_kwh += row[0];
+        total.ideal_energy_kwh += row[1];
+        total.mismatch_loss_kwh += row[2];
+        total.wiring_loss_kwh += row[3];
+        for (std::size_t j = 0; j < total.string_energy_kwh.size(); ++j) {
+            total.string_energy_kwh[j] += row[4 + j];
+            total.string_wiring_loss_kwh[j] += row[4 + n_str + j];
+        }
+    }
+    return total;
+}
+
+EvaluationResult make_evaluation_result(const EnergyTotals& totals,
+                                        std::span<const double> extra_lengths,
+                                        const pv::WiringSpec& wiring) {
+    EvaluationResult r;
+    r.energy_kwh = totals.energy_kwh;
+    r.ideal_energy_kwh = totals.ideal_energy_kwh;
+    r.mismatch_loss_kwh = totals.mismatch_loss_kwh;
+    r.wiring_loss_kwh = totals.wiring_loss_kwh;
+    r.strings.resize(extra_lengths.size());
+    for (std::size_t j = 0; j < extra_lengths.size(); ++j) {
+        r.strings[j] = {totals.string_energy_kwh[j], extra_lengths[j],
+                        totals.string_wiring_loss_kwh[j]};
+        r.extra_cable_m += extra_lengths[j];
+    }
+    r.wiring_cost_usd = pv::wiring_cost(extra_lengths, wiring);
+    return r;
+}
+
+void check_evaluation_inputs(const Floorplan& plan,
+                             const geo::PlacementArea& area,
+                             const solar::IrradianceField& field,
+                             const EvaluationOptions& options,
+                             const char* who) {
+    std::string why;  // set by floorplan_feasible only
+    const char* what =
+        !floorplan_feasible(plan, area, &why) ? "infeasible plan: "
+        : field.width() != area.width || field.height() != area.height
+            ? "field window does not match area"
+        : options.step_stride < 1 ? "step_stride must be >= 1"
+                                  : nullptr;
+    if (what) throw InvalidArgument(std::string(who) + ": " + what + why);
+    pv::check_topology(plan.topology, plan.module_count());
+}
+
 EvaluationResult evaluate_floorplan(const Floorplan& plan,
                                     const geo::PlacementArea& area,
                                     const solar::IrradianceField& field,
                                     const pv::EmpiricalModuleModel& model,
                                     const EvaluationOptions& options) {
-    std::string why;
-    check_arg(floorplan_feasible(plan, area, &why),
-              "evaluate_floorplan: infeasible plan: " + why);
-    check_arg(field.width() == area.width && field.height() == area.height,
-              "evaluate_floorplan: field window does not match area");
-    check_arg(options.step_stride >= 1,
-              "evaluate_floorplan: step_stride must be >= 1");
-    pv::check_topology(plan.topology, plan.module_count());
-    // Boundary validation complete: feasibility puts every module
-    // footprint inside the area (== the field window) and the step loops
-    // below stay inside [0, steps) by construction, so the inner loops
-    // use the unchecked field accessors.
-
-    const int n_modules = plan.module_count();
-    const int n_strings = plan.topology.strings;
-
-    // Wiring overhead is a property of the geometry, not of time.
-    const auto centers = plan.centers_m(area.cell_size);
-    const auto extra_lengths =
-        pv::panel_extra_lengths(centers, plan.topology, options.wiring);
-
-    EvaluationResult result;
-    result.strings.resize(static_cast<std::size_t>(n_strings));
-    for (int j = 0; j < n_strings; ++j) {
-        result.strings[static_cast<std::size_t>(j)].extra_cable_m =
-            extra_lengths[static_cast<std::size_t>(j)];
-        result.extra_cable_m += extra_lengths[static_cast<std::size_t>(j)];
-    }
-    result.wiring_cost_usd = pv::wiring_cost(extra_lengths, options.wiring);
-
+    check_evaluation_inputs(plan, area, field, options, "evaluate_floorplan");
+    const auto extra_lengths = pv::panel_extra_lengths(
+        plan.centers_m(area.cell_size), plan.topology, options.wiring);
     const double k_th = field.config().thermal_k;
     const DaylightAxis axis = sample_daylight(field, options.step_stride);
 
-    // One map call per shard, each accumulating its own Partial; the
-    // partials merge in shard order.  Per shard, each module's irradiance
-    // series comes from the footprint kernel and its operating points
-    // from the batched model, into module-major SoA planes; each sampled
-    // step then aggregates the panel without allocating.  Scratch comes
-    // from a pool so a shard reuses the previous shard's allocations.
-    struct ShardScratch {
-        std::vector<double> g;      ///< one module's irradiance series
-        std::vector<double> power;  ///< n_modules x shard samples
-        std::vector<double> voltage;
-        std::vector<double> current;
-        std::vector<pv::OperatingPoint> points;
-        pv::PanelOperating panel;
-    };
-    ScratchPool<ShardScratch> scratch_pool;
-
-    const Partial total = parallel_reduce(
-        0L, axis.shards(), 1L, Partial(static_cast<std::size_t>(n_strings)),
-        [&](long c, long) {
-            Partial p(static_cast<std::size_t>(n_strings));
-            const long kb = axis.shard_offsets[static_cast<std::size_t>(c)];
-            const long ke =
-                axis.shard_offsets[static_cast<std::size_t>(c) + 1];
+    const EnergyTotals totals = fold_energy(
+        axis, plan.topology, extra_lengths, options,
+        [&](int i, long kb, long ke, ModuleScratch& sc) {
             const std::size_t nk = static_cast<std::size_t>(ke - kb);
-            if (nk == 0) return p;
-            auto scratch = scratch_pool.acquire();
-            const std::size_t planes =
-                static_cast<std::size_t>(n_modules) * nk;
-            scratch->g.resize(nk);
-            scratch->power.resize(planes);
-            scratch->voltage.resize(planes);
-            scratch->current.resize(planes);
-            for (int i = 0; i < n_modules; ++i) {
-                const ModulePlacement& m =
-                    plan.modules[static_cast<std::size_t>(i)];
-                anchor_irradiance_series(plan.geometry, m.x, m.y, field,
-                                         axis.pack, kb, ke,
-                                         options.module_irradiance,
-                                         scratch->g.data());
-                const std::size_t at = static_cast<std::size_t>(i) * nk;
-                sample_operating_points(
-                    model, scratch->g.data(),
-                    axis.t_air.data() + kb, k_th, nk,
-                    scratch->power.data() + at, scratch->voltage.data() + at,
-                    scratch->current.data() + at);
-            }
-            std::vector<pv::OperatingPoint>& points = scratch->points;
-            points.resize(static_cast<std::size_t>(n_modules));
-            pv::PanelOperating& panel = scratch->panel;
-            for (std::size_t k = 0; k < nk; ++k) {
-                const double dt_h =
-                    axis.dt_h[static_cast<std::size_t>(kb) + k];
-                for (std::size_t i = 0, at = k; i < points.size();
-                     ++i, at += nk)
-                    points[i] = {scratch->power[at], scratch->voltage[at],
-                                 scratch->current[at]};
-                pv::aggregate_panel(points, plan.topology, panel);
-
-                double wiring_w = 0.0;
-                if (options.include_wiring_loss) {
-                    for (int j = 0; j < n_strings; ++j) {
-                        const double loss = pv::wiring_power_loss(
-                            extra_lengths[static_cast<std::size_t>(j)],
-                            panel.strings[static_cast<std::size_t>(j)]
-                                .current_a,
-                            options.wiring);
-                        wiring_w += loss;
-                        p.string_wiring_loss_kwh[static_cast<std::size_t>(
-                            j)] += loss * dt_h / 1000.0;
-                    }
-                }
-
-                const double net_w = std::max(0.0, panel.power_w - wiring_w);
-                p.energy_kwh += net_w * dt_h / 1000.0;
-                p.ideal_energy_kwh += panel.ideal_power_w * dt_h / 1000.0;
-                p.mismatch_loss_kwh += panel.mismatch_loss_w * dt_h / 1000.0;
-                p.wiring_loss_kwh += wiring_w * dt_h / 1000.0;
-                for (int j = 0; j < n_strings; ++j) {
-                    p.string_energy_kwh[static_cast<std::size_t>(j)] +=
-                        panel.voltage_v *
-                        panel.strings[static_cast<std::size_t>(j)]
-                            .current_a *
-                        dt_h / 1000.0;
-                }
-            }
-            return p;
-        },
-        merge);
-
-    result.energy_kwh = total.energy_kwh;
-    result.ideal_energy_kwh = total.ideal_energy_kwh;
-    result.mismatch_loss_kwh = total.mismatch_loss_kwh;
-    result.wiring_loss_kwh = total.wiring_loss_kwh;
-    for (int j = 0; j < n_strings; ++j) {
-        result.strings[static_cast<std::size_t>(j)].energy_kwh =
-            total.string_energy_kwh[static_cast<std::size_t>(j)];
-        result.strings[static_cast<std::size_t>(j)].wiring_loss_kwh =
-            total.string_wiring_loss_kwh[static_cast<std::size_t>(j)];
-    }
-    return result;
+            sc.g.resize(nk);
+            sc.power_w.resize(nk);
+            sc.voltage_v.resize(nk);
+            sc.current_a.resize(nk);
+            const ModulePlacement& mp =
+                plan.modules[static_cast<std::size_t>(i)];
+            anchor_irradiance_series(plan.geometry, mp.x, mp.y, field,
+                                     axis.pack, kb, ke,
+                                     options.module_irradiance, sc.g.data());
+            sample_operating_points(model, sc.g.data(), axis.t_air.data() + kb,
+                                    k_th, nk, sc.power_w.data(),
+                                    sc.voltage_v.data(), sc.current_a.data());
+            return ModuleSeries{sc.power_w.data(), sc.voltage_v.data(),
+                                sc.current_a.data()};
+        });
+    return make_evaluation_result(totals, extra_lengths, options.wiring);
 }
 
 }  // namespace pvfp::core

@@ -14,14 +14,22 @@
 /// Every evaluation path (evaluate_floorplan, the IncrementalEvaluator,
 /// ideal_anchor_energies) samples its time axis through one function,
 /// sample_daylight: the stride-sampled daylight steps, their billed
-/// hours and air temperatures, the fixed shard grid the energy folds
-/// follow, and the steps packed once into a solar::StepPack.  Module
+/// hours and air temperatures, the fixed shard grid the energy fold
+/// follows, and the steps packed once into a solar::StepPack.  Module
 /// irradiance series then come from anchor_irradiance_series sweeping a
 /// run of that pack through the field's one batched kernel
 /// (IrradianceField::footprint_irradiance_packed_unchecked), and their
 /// operating points from the batched sample_operating_points.
+///
+/// Both evaluators integrate the energy through one function,
+/// fold_energy: they differ only in where a module's operating points
+/// come from (evaluate_floorplan computes them per shard on demand, the
+/// IncrementalEvaluator reads its cached per-anchor series), so they
+/// produce the same bits by construction.
 
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "pvfp/core/layout.hpp"
@@ -98,8 +106,75 @@ struct EvaluationResult {
     double net_mwh() const { return energy_kwh / 1000.0; }
 };
 
-/// Evaluate \p plan against \p field with \p model.  The floorplan must be
-/// feasible on the field's window (checked).
+/// The time-integrated slice of EvaluationResult: what fold_energy sums.
+struct EnergyTotals {
+    double energy_kwh = 0.0;
+    double ideal_energy_kwh = 0.0;
+    double mismatch_loss_kwh = 0.0;
+    double wiring_loss_kwh = 0.0;
+    std::vector<double> string_energy_kwh;       ///< per string
+    std::vector<double> string_wiring_loss_kwh;  ///< per string
+};
+
+/// One module's operating points over the packed samples [kb, ke) of a
+/// fold: ke - kb values behind each pointer.
+struct ModuleSeries {
+    const double* power_w = nullptr;
+    const double* voltage_v = nullptr;
+    const double* current_a = nullptr;
+};
+
+/// Buffers a ModuleRun may fill and point its ModuleSeries into.  One
+/// per fold shard; pooled across folds, so sized by the callee.
+struct ModuleScratch {
+    std::vector<double> g;  ///< irradiance series
+    std::vector<double> power_w;
+    std::vector<double> voltage_v;
+    std::vector<double> current_a;
+};
+
+/// module_run(i, kb, ke, scratch): module i's operating points over the
+/// packed samples [kb, ke).  The series must stay valid until the next
+/// call with the same scratch.
+using ModuleRun =
+    std::function<ModuleSeries(int, long, long, ModuleScratch&)>;
+
+/// The one energy arithmetic of the evaluators (paper Sections III-A and
+/// III-B1).  Per shard of \p axis and per sample: string voltage sums and
+/// series current minima over each string's modules (series-first order,
+/// module j*m + i is module i of string j), the ideal-power sum, the
+/// panel voltage min / current sum, the per-string wiring loss
+/// R * Lextra_j * I_j^2 when options.include_wiring_loss, then a fold of
+/// every total in sample order.  Shards merge in shard order, so the
+/// result is the same bits at any thread count.  \p extra_lengths holds
+/// one length per string; the topology must already be checked against
+/// the module count.  Per-shard scratch is pooled across calls, so a
+/// fold allocates little more than one row of totals per shard.
+EnergyTotals fold_energy(const DaylightAxis& axis, const pv::Topology& topology,
+                         std::span<const double> extra_lengths,
+                         const EvaluationOptions& options,
+                         const ModuleRun& module_run);
+
+/// \p totals with the geometry-only fields (per-string extra cable, its
+/// sum and its cost) filled in from \p extra_lengths.
+EvaluationResult make_evaluation_result(const EnergyTotals& totals,
+                                        std::span<const double> extra_lengths,
+                                        const pv::WiringSpec& wiring);
+
+/// The boundary checks of both evaluators (throw InvalidArgument with
+/// \p who as the message prefix): a feasible plan, a field window equal
+/// to the area, stride >= 1, a topology matching the module count.
+/// Feasibility puts every footprint inside the field window, which is
+/// what lets the folds use the unchecked field accessors.
+void check_evaluation_inputs(const Floorplan& plan,
+                             const geo::PlacementArea& area,
+                             const solar::IrradianceField& field,
+                             const EvaluationOptions& options,
+                             const char* who);
+
+/// Evaluate \p plan against \p field with \p model: check_evaluation_inputs,
+/// sample_daylight, then fold_energy over each module's footprint series
+/// and operating points, computed per shard on demand.
 EvaluationResult evaluate_floorplan(const Floorplan& plan,
                                     const geo::PlacementArea& area,
                                     const solar::IrradianceField& field,
@@ -127,7 +202,7 @@ double anchor_irradiance_unchecked(const PanelGeometry& geometry, int x, int y,
 /// p0 + k, for k in [0, p1 - p0) — bitwise identical to that per-step
 /// loop (the field's footprint kernel loads each packed step once and
 /// folds the cells in the same order in registers).  This is the
-/// per-anchor hot path of evaluate_floorplan's time shards, the
+/// per-module hot path of evaluate_floorplan's fold shards, the
 /// IncrementalEvaluator's series build, and ideal_anchor_energies.
 /// \p pack must come from \p field's pack_steps.  Validates the
 /// footprint and the packed range once (throws InvalidArgument).

@@ -1,8 +1,6 @@
 #include "pvfp/core/incremental_evaluator.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <string>
 
 #include "pvfp/obs/metrics.hpp"
@@ -24,15 +22,8 @@ IncrementalEvaluator::IncrementalEvaluator(
     std::size_t anchor_cache_capacity)
     : plan_(std::move(plan)), area_(area), field_(&field), model_(model),
       options_(options) {
-    std::string why;
-    check_arg(floorplan_feasible(plan_, area_, &why),
-              "IncrementalEvaluator: infeasible plan: " + why);
-    check_arg(field.width() == area.width && field.height() == area.height,
-              "IncrementalEvaluator: field window does not match area");
-    check_arg(options.step_stride >= 1,
-              "IncrementalEvaluator: step_stride must be >= 1");
-    pv::check_topology(plan_.topology, plan_.module_count());
-
+    check_evaluation_inputs(plan_, area_, field, options_,
+                            "IncrementalEvaluator");
     axis_ = sample_daylight(field, options_.step_stride);
 
     if (anchor_cache_capacity == 0) {
@@ -42,7 +33,7 @@ IncrementalEvaluator::IncrementalEvaluator(
         anchor_cache_capacity = std::clamp<std::size_t>(
             kCacheBudgetBytes / bytes_per_series, 16, 1 << 16);
     }
-    cache_capacity_ = anchor_cache_capacity;
+    cache_.emplace(anchor_cache_capacity);
 
     const auto n = plan_.modules.size();
     module_ops_.resize(n);
@@ -56,12 +47,6 @@ IncrementalEvaluator::IncrementalEvaluator(
 
 std::shared_ptr<const IncrementalEvaluator::OpSeries>
 IncrementalEvaluator::series_for_anchor(const ModulePlacement& anchor) {
-    const long long key =
-        static_cast<long long>(anchor.y) * area_.width + anchor.x;
-    if (auto it = cache_.find(key); it != cache_.end()) {
-        ++stats_.series_reused;
-        return it->second;
-    }
     // The committed plan may hold a series the cache has already evicted.
     for (std::size_t i = 0; i < plan_.modules.size(); ++i) {
         if (plan_.modules[i] == anchor && module_ops_[i]) {
@@ -69,223 +54,56 @@ IncrementalEvaluator::series_for_anchor(const ModulePlacement& anchor) {
             return module_ops_[i];
         }
     }
-
-    auto series = std::make_shared<OpSeries>();
-    auto& ops = *series;
-    const std::size_t n = static_cast<std::size_t>(axis_.size());
-    ops.power_w.resize(n);
-    ops.voltage_v.resize(n);
-    ops.current_a.resize(n);
-    const double k_th = field_->config().thermal_k;
-    const ModuleIrradiance mode = options_.module_irradiance;
-    // Disjoint per-sample writes: bitwise-identical at any thread count.
-    // Each chunk sweeps its run of the packed axis for the footprint,
-    // then samples the empirical model over the run in one batch.
-    parallel_for(0, axis_.size(), kStepsPerShard, [&](long b, long e) {
-        static thread_local std::vector<double> g_buf;
-        g_buf.resize(static_cast<std::size_t>(e - b));
-        anchor_irradiance_series(plan_.geometry, anchor.x, anchor.y, *field_,
-                                 axis_.pack, b, e, mode, g_buf.data());
-        const std::size_t kb = static_cast<std::size_t>(b);
-        sample_operating_points(model_, g_buf.data(),
-                                axis_.t_air.data() + kb, k_th, g_buf.size(),
-                                ops.power_w.data() + kb,
-                                ops.voltage_v.data() + kb,
-                                ops.current_a.data() + kb);
-    });
-    ++stats_.series_computed;
-
-    cache_.emplace(key, series);
-    cache_fifo_.push_back(key);
-    while (cache_.size() > cache_capacity_ &&
-           cache_evict_next_ < cache_fifo_.size()) {
-        cache_.erase(cache_fifo_[cache_evict_next_++]);
-    }
+    const long long key =
+        static_cast<long long>(anchor.y) * area_.width + anchor.x;
+    bool built = false;
+    auto series = cache_->get(
+        key, 0,
+        [&] {
+            auto ops = std::make_shared<OpSeries>();
+            const std::size_t n = static_cast<std::size_t>(axis_.size());
+            ops->power_w.resize(n);
+            ops->voltage_v.resize(n);
+            ops->current_a.resize(n);
+            const double k_th = field_->config().thermal_k;
+            // Disjoint per-sample writes: bitwise-identical at any thread
+            // count.  Each chunk sweeps its run of the packed axis for the
+            // footprint, then samples the empirical model over the run in
+            // one batch.
+            parallel_for(0, axis_.size(), kStepsPerShard, [&](long b, long e) {
+                static thread_local std::vector<double> g_buf;
+                g_buf.resize(static_cast<std::size_t>(e - b));
+                anchor_irradiance_series(plan_.geometry, anchor.x, anchor.y,
+                                         *field_, axis_.pack, b, e,
+                                         options_.module_irradiance,
+                                         g_buf.data());
+                const std::size_t kb = static_cast<std::size_t>(b);
+                sample_operating_points(
+                    model_, g_buf.data(), axis_.t_air.data() + kb, k_th,
+                    g_buf.size(), ops->power_w.data() + kb,
+                    ops->voltage_v.data() + kb, ops->current_a.data() + kb);
+            });
+            return std::shared_ptr<const OpSeries>(std::move(ops));
+        },
+        &built);
+    ++(built ? stats_.series_computed : stats_.series_reused);
     return series;
 }
 
-IncrementalEvaluator::Totals IncrementalEvaluator::accumulate(
+EnergyTotals IncrementalEvaluator::accumulate(
     std::span<const std::shared_ptr<const OpSeries>> ops,
     std::span<const double> extra_lengths) const {
-    const int m = plan_.topology.series;
-    const int n_str = plan_.topology.strings;
-    const bool wiring_on = options_.include_wiring_loss;
-
-    /// Per-shard accumulator mirroring evaluate_floorplan's Partial.
-    struct Partial {
-        double energy = 0.0;
-        double ideal = 0.0;
-        double mismatch = 0.0;
-        double wiring = 0.0;
-        std::vector<double> string_energy;
-        std::vector<double> string_wiring;
-        explicit Partial(std::size_t n = 0)
-            : string_energy(n, 0.0), string_wiring(n, 0.0) {}
-    };
-
-    // One shard per map call (chunk size 1 over shard indices), merged in
-    // shard order: the same summation tree as evaluate_floorplan.
-    //
-    // The per-sample work is phrased as elementwise passes over the
-    // contiguous SoA operating-point streams — string voltage sums, the
-    // series current min, the ideal-power sum, then the wiring / net
-    // folds — so the compiler vectorizes each pass, while every
-    // accumulator (p.energy, p.string_*, ...) is still folded sample by
-    // sample in ascending k, string by string in ascending j: exactly
-    // the summation order (hence the bits) of the former scalar loop and
-    // of evaluate_floorplan.
-    const Partial total = parallel_reduce(
-        0L, axis_.shards(), 1L, Partial(static_cast<std::size_t>(n_str)),
-        [&](long cb, long ce) {
-            Partial p(static_cast<std::size_t>(n_str));
-            auto sc = acc_scratch_.acquire();
-            for (long c = cb; c < ce; ++c) {
-                const std::size_t kb = static_cast<std::size_t>(
-                    axis_.shard_offsets[static_cast<std::size_t>(c)]);
-                const std::size_t ke = static_cast<std::size_t>(
-                    axis_.shard_offsets[static_cast<std::size_t>(c) + 1]);
-                const std::size_t nk = ke - kb;
-                if (nk == 0) continue;
-                constexpr double kInf =
-                    std::numeric_limits<double>::infinity();
-                sc->v.assign(nk, 0.0);
-                sc->min_v.assign(nk, kInf);
-                sc->panel_i.assign(nk, 0.0);
-                sc->ideal.assign(nk, 0.0);
-                sc->volt.resize(nk);
-                sc->power.resize(nk);
-                sc->wiring.assign(nk, 0.0);
-                sc->cur.resize(static_cast<std::size_t>(n_str) * nk);
-                sc->loss.resize(static_cast<std::size_t>(n_str) * nk);
-
-                double* const ideal = sc->ideal.data();
-                double* const min_v = sc->min_v.data();
-                double* const panel_i = sc->panel_i.data();
-                for (int j = 0; j < n_str; ++j) {
-                    double* const v = sc->v.data();
-                    double* const cur =
-                        sc->cur.data() + static_cast<std::size_t>(j) * nk;
-                    std::fill(v, v + nk, 0.0);
-                    std::fill(cur, cur + nk, kInf);
-                    for (int i = 0; i < m; ++i) {
-                        const OpSeries& s =
-                            *ops[static_cast<std::size_t>(j * m + i)];
-                        const double* const vol = s.voltage_v.data() + kb;
-                        const double* const cu = s.current_a.data() + kb;
-                        const double* const pw = s.power_w.data() + kb;
-                        for (std::size_t k = 0; k < nk; ++k)
-                            v[k] += vol[k];
-                        for (std::size_t k = 0; k < nk; ++k)
-                            cur[k] = std::min(cur[k], cu[k]);
-                        for (std::size_t k = 0; k < nk; ++k)
-                            ideal[k] += pw[k];
-                    }
-                    for (std::size_t k = 0; k < nk; ++k)
-                        if (!std::isfinite(cur[k])) cur[k] = 0.0;
-                    for (std::size_t k = 0; k < nk; ++k)
-                        min_v[k] = std::min(min_v[k], v[k]);
-                    for (std::size_t k = 0; k < nk; ++k)
-                        panel_i[k] += cur[k];
-                }
-                double* const volt = sc->volt.data();
-                double* const power = sc->power.data();
-                for (std::size_t k = 0; k < nk; ++k)
-                    volt[k] = std::isfinite(min_v[k]) ? min_v[k] : 0.0;
-                for (std::size_t k = 0; k < nk; ++k)
-                    power[k] = volt[k] * panel_i[k];
-
-                double* const wiring = sc->wiring.data();
-                if (wiring_on) {
-                    for (int j = 0; j < n_str; ++j) {
-                        const double extra =
-                            extra_lengths[static_cast<std::size_t>(j)];
-                        check_arg(extra >= 0.0,
-                                  "wiring_power_loss: negative length");
-                        // ((R * extra) * I) * I: the association of
-                        // pv::wiring_power_loss.
-                        const double rl =
-                            options_.wiring.resistance_ohm_per_m * extra;
-                        const double* const cur =
-                            sc->cur.data() +
-                            static_cast<std::size_t>(j) * nk;
-                        double* const loss =
-                            sc->loss.data() +
-                            static_cast<std::size_t>(j) * nk;
-                        for (std::size_t k = 0; k < nk; ++k)
-                            loss[k] = rl * cur[k] * cur[k];
-                        for (std::size_t k = 0; k < nk; ++k)
-                            wiring[k] += loss[k];
-                    }
-                }
-
-                // Sample-order fold into the shard partial (the
-                // reduction the determinism contract pins).
-                for (std::size_t k = 0; k < nk; ++k) {
-                    const double dt_h = axis_.dt_h[kb + k];
-                    if (wiring_on) {
-                        for (int j = 0; j < n_str; ++j)
-                            p.string_wiring[static_cast<std::size_t>(j)] +=
-                                sc->loss[static_cast<std::size_t>(j) * nk +
-                                         k] *
-                                dt_h / 1000.0;
-                    }
-                    const double net =
-                        std::max(0.0, power[k] - wiring[k]);
-                    p.energy += net * dt_h / 1000.0;
-                    p.ideal += ideal[k] * dt_h / 1000.0;
-                    p.mismatch +=
-                        std::max(0.0, ideal[k] - power[k]) * dt_h / 1000.0;
-                    p.wiring += wiring[k] * dt_h / 1000.0;
-                    for (int j = 0; j < n_str; ++j) {
-                        p.string_energy[static_cast<std::size_t>(j)] +=
-                            volt[k] *
-                            sc->cur[static_cast<std::size_t>(j) * nk + k] *
-                            dt_h / 1000.0;
-                    }
-                }
-            }
-            return p;
-        },
-        [](Partial acc, const Partial& p) {
-            acc.energy += p.energy;
-            acc.ideal += p.ideal;
-            acc.mismatch += p.mismatch;
-            acc.wiring += p.wiring;
-            for (std::size_t j = 0; j < acc.string_energy.size(); ++j) {
-                acc.string_energy[j] += p.string_energy[j];
-                acc.string_wiring[j] += p.string_wiring[j];
-            }
-            return acc;
+    return fold_energy(
+        axis_, plan_.topology, extra_lengths, options_,
+        [ops](int i, long kb, long, ModuleScratch&) {
+            const OpSeries& s = *ops[static_cast<std::size_t>(i)];
+            return ModuleSeries{s.power_w.data() + kb, s.voltage_v.data() + kb,
+                                s.current_a.data() + kb};
         });
-
-    Totals out;
-    out.energy_kwh = total.energy;
-    out.ideal_energy_kwh = total.ideal;
-    out.mismatch_loss_kwh = total.mismatch;
-    out.wiring_loss_kwh = total.wiring;
-    out.string_energy_kwh = total.string_energy;
-    out.string_wiring_loss_kwh = total.string_wiring;
-    return out;
 }
 
 EvaluationResult IncrementalEvaluator::result() const {
-    const int n_str = plan_.topology.strings;
-    EvaluationResult r;
-    r.energy_kwh = totals_.energy_kwh;
-    r.ideal_energy_kwh = totals_.ideal_energy_kwh;
-    r.mismatch_loss_kwh = totals_.mismatch_loss_kwh;
-    r.wiring_loss_kwh = totals_.wiring_loss_kwh;
-    r.strings.resize(static_cast<std::size_t>(n_str));
-    for (int j = 0; j < n_str; ++j) {
-        auto& s = r.strings[static_cast<std::size_t>(j)];
-        s.energy_kwh = totals_.string_energy_kwh[static_cast<std::size_t>(j)];
-        s.extra_cable_m = extra_lengths_[static_cast<std::size_t>(j)];
-        s.wiring_loss_kwh =
-            totals_.string_wiring_loss_kwh[static_cast<std::size_t>(j)];
-        r.extra_cable_m += extra_lengths_[static_cast<std::size_t>(j)];
-    }
-    r.wiring_cost_usd = pv::wiring_cost(extra_lengths_, options_.wiring);
-    return r;
+    return make_evaluation_result(totals_, extra_lengths_, options_.wiring);
 }
 
 bool IncrementalEvaluator::move_feasible(int module_index,

@@ -20,28 +20,27 @@
 /// and empirical-model work the full pass pays per module).  Swaps skip
 /// the series work entirely.
 ///
-/// Exactness contract (enforced by tests/core/test_incremental_evaluator
-/// and the differential harness tests/integration/test_delta_equivalence):
-/// committed totals match a fresh evaluate_floorplan of the committed plan
-/// to <= 1e-9 kWh at every point of any move/swap/rollback sequence.  The
-/// per-sample aggregation replicates evaluate_floorplan's arithmetic — the
-/// same sampled axis (sample_daylight, built once in the constructor), the
-/// same shared kernels (anchor_irradiance_series, sample_operating_points),
-/// the same series/string accumulation order, the same fixed
-/// kStepsPerShard shard grid folded in shard order — so results are also
-/// bitwise-identical at any thread count.
+/// Exactness contract: the IncrementalEvaluator has no energy arithmetic
+/// of its own.  It samples the same axis (sample_daylight, built once in
+/// the constructor), builds each anchor's series with the same kernels
+/// (anchor_irradiance_series, sample_operating_points), and integrates
+/// through evaluate_floorplan's one fold (fold_energy) over pointers into
+/// its cached series.  Committed totals are therefore bitwise equal to a
+/// fresh evaluate_floorplan of the committed plan at every point of any
+/// move/swap/rollback sequence, at any thread count (tests/core/
+/// test_incremental_evaluator, tests/integration/test_delta_equivalence,
+/// and an independent per-step oracle in tests/core/test_evaluator_oracle).
 
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "pvfp/core/evaluator.hpp"
 #include "pvfp/core/exhaustive_placer.hpp"
 #include "pvfp/core/layout.hpp"
-#include "pvfp/util/parallel.hpp"
+#include "pvfp/util/keyed_cache.hpp"
 
 namespace pvfp::core {
 
@@ -69,8 +68,8 @@ public:
     /// InvalidArgument on an infeasible plan, a field/area mismatch, or a
     /// bad stride — the same boundary checks as evaluate_floorplan.
     /// \p anchor_cache_capacity bounds the number of memoized anchor
-    /// series beyond the ones the committed plan holds; 0 picks a default
-    /// from a ~128 MB budget.
+    /// series (least recently used evicted first) beyond the ones the
+    /// committed plan holds; 0 picks a default from a ~128 MB budget.
     IncrementalEvaluator(Floorplan plan, const geo::PlacementArea& area,
                          const solar::IrradianceField& field,
                          const pv::EmpiricalModuleModel& model,
@@ -132,49 +131,24 @@ public:
 
 private:
     /// Per-anchor operating points over the sampled steps, stored as
-    /// structure-of-arrays so accumulate()'s per-sample folds run over
-    /// contiguous branch-free streams (the SIMD target named by the
-    /// ROADMAP).  Same bytes as the former vector<OperatingPoint>.
+    /// structure-of-arrays: fold_energy reads each shard's run of them
+    /// in place.
     struct OpSeries {
         std::vector<double> power_w;
         std::vector<double> voltage_v;
         std::vector<double> current_a;
     };
 
-    /// Reusable per-chunk buffers of accumulate(); pooled across
-    /// proposals so a delta probe does not reallocate.
-    struct AccScratch {
-        std::vector<double> v;        ///< string voltage sum per sample
-        std::vector<double> min_v;    ///< min over strings
-        std::vector<double> panel_i;  ///< current sum over strings
-        std::vector<double> ideal;
-        std::vector<double> volt;
-        std::vector<double> power;
-        std::vector<double> wiring;
-        std::vector<double> cur;   ///< n_strings x samples, string-major
-        std::vector<double> loss;  ///< n_strings x samples, string-major
-    };
-
-    /// The time-dependent slice of EvaluationResult.
-    struct Totals {
-        double energy_kwh = 0.0;
-        double ideal_energy_kwh = 0.0;
-        double mismatch_loss_kwh = 0.0;
-        double wiring_loss_kwh = 0.0;
-        std::vector<double> string_energy_kwh;
-        std::vector<double> string_wiring_loss_kwh;
-    };
-
     struct Pending {
         std::vector<ModulePlacement> modules;
         std::vector<std::shared_ptr<const OpSeries>> ops;
         std::vector<double> extra_lengths;
-        Totals totals;
+        EnergyTotals totals;
     };
 
     std::shared_ptr<const OpSeries> series_for_anchor(
         const ModulePlacement& anchor);
-    Totals accumulate(
+    EnergyTotals accumulate(
         std::span<const std::shared_ptr<const OpSeries>> ops,
         std::span<const double> extra_lengths) const;
 
@@ -187,16 +161,14 @@ private:
     /// The sampled daylight axis (steps, billing, shard grid, pack),
     /// built once; every series and fold runs over it.
     DaylightAxis axis_;
-    mutable ScratchPool<AccScratch> acc_scratch_;
 
     std::vector<std::shared_ptr<const OpSeries>> module_ops_;
     std::vector<double> extra_lengths_;
-    Totals totals_;
+    EnergyTotals totals_;
 
-    std::unordered_map<long long, std::shared_ptr<const OpSeries>> cache_;
-    std::vector<long long> cache_fifo_;
-    std::size_t cache_capacity_ = 0;
-    std::size_t cache_evict_next_ = 0;
+    /// Memoized anchor series keyed by y * width + x, LRU-bounded by the
+    /// anchor cache capacity (one unit per series).
+    std::optional<KeyedCache<long long, OpSeries>> cache_;
 
     std::optional<Pending> pending_;
     IncrementalStats stats_;

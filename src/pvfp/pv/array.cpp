@@ -17,17 +17,9 @@ void check_topology(const Topology& topology, int module_count) {
 
 PanelOperating aggregate_panel(std::span<const OperatingPoint> points,
                                const Topology& topology) {
-    PanelOperating panel;
-    aggregate_panel(points, topology, panel);
-    return panel;
-}
-
-void aggregate_panel(std::span<const OperatingPoint> points,
-                     const Topology& topology, PanelOperating& panel) {
     check_topology(topology, static_cast<int>(points.size()));
 
-    panel.current_a = 0.0;
-    panel.ideal_power_w = 0.0;
+    PanelOperating panel;
     panel.strings.resize(static_cast<std::size_t>(topology.strings));
 
     double min_string_voltage = std::numeric_limits<double>::infinity();
@@ -50,6 +42,7 @@ void aggregate_panel(std::span<const OperatingPoint> points,
         std::isfinite(min_string_voltage) ? min_string_voltage : 0.0;
     panel.power_w = panel.voltage_v * panel.current_a;
     panel.mismatch_loss_w = std::max(0.0, panel.ideal_power_w - panel.power_w);
+    return panel;
 }
 
 }  // namespace pvfp::pv

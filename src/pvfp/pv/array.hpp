@@ -48,15 +48,12 @@ struct PanelOperating {
 
 /// Aggregate module operating points in *series-first* order: index
 /// j*m + i is module i of string j (the enumeration order of the paper's
-/// placement loop).  \p points size must equal topology.total().
+/// placement loop).  \p points size must equal topology.total().  The
+/// evaluators' core::fold_energy runs this arithmetic over a run of
+/// samples at once, in the same order; this per-sample form is the
+/// paper formula and the tests' oracle.
 PanelOperating aggregate_panel(std::span<const OperatingPoint> points,
                                const Topology& topology);
-
-/// The same aggregation written into \p panel, reusing the capacity of
-/// its strings vector: allocation-free once \p panel has held this
-/// many strings (evaluate_floorplan calls it once per sampled step).
-void aggregate_panel(std::span<const OperatingPoint> points,
-                     const Topology& topology, PanelOperating& panel);
 
 /// Validate a topology against a module count; throws InvalidArgument on
 /// m*n != N or non-positive values.

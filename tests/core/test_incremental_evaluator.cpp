@@ -87,26 +87,13 @@ TEST(IncrementalEvaluator, PolarNightShardsMatchFullPassBitwise) {
     // step; stride 7 also leaves a partial trailing shard.  The full pass
     // and the incremental evaluator must map those shards identically:
     // equal bits, and equal bits at 1 and 8 threads.
-    const TimeGrid grid(60, 1, 365);
     const ShadedSetup base = make_setup();
-    geo::Raster dsm(24, 10, 0.2, 5.0);
-    for (int y = 0; y < 10; ++y)
-        for (int x = 22; x < 24; ++x) dsm(x, y) = 9.0;  // eastern ridge
-    geo::HorizonOptions hopt;
-    hopt.azimuth_sectors = 16;
-    hopt.max_distance = 10.0;
-    solar::FieldConfig config;
-    config.location.latitude_deg = 85.0;
-    config.location.longitude_deg = 15.0;
-    const solar::IrradianceField field(
-        geo::HorizonMap(dsm, 0, 0, 24, 10, hopt),
-        pvfp::testing::constant_weather(grid), grid, deg2rad(26.0),
-        deg2rad(180.0), config);
+    const solar::IrradianceField field = pvfp::testing::polar_night_field();
 
     for (const long stride : {1L, 4L, 7L}) {
         SCOPED_TRACE("stride " + std::to_string(stride));
         const DaylightAxis axis = sample_daylight(field, stride);
-        const long n_grid = (grid.total_steps() + stride - 1) / stride;
+        const long n_grid = (field.steps() + stride - 1) / stride;
         ASSERT_EQ(axis.shards(),
                   (n_grid + kStepsPerShard - 1) / kStepsPerShard);
         // Shard c starts at the count of daylight samples before grid
@@ -306,6 +293,35 @@ TEST(IncrementalEvaluator, AnchorCacheReuseAndEviction) {
     tiny.delta_swap(0, 2);
     tiny.commit();
     expect_matches_full(tiny, s);
+
+    // Capacity 2 pins the policy: least recently used goes first, and an
+    // anchor the committed plan holds is reused without the cache.
+    IncrementalEvaluator two(base_plan(), s.area, s.field, s.model, {}, 2);
+    EXPECT_EQ(two.stats().series_computed, 4);  // cache: {12,6} {0,6}
+    const auto step = [&](const ModulePlacement& anchor, long computed,
+                          long reused) {
+        two.delta_move(0, anchor);
+        two.commit();
+        EXPECT_EQ(two.stats().series_computed, computed)
+            << anchor.x << "," << anchor.y;
+        EXPECT_EQ(two.stats().series_reused, reused)
+            << anchor.x << "," << anchor.y;
+    };
+    const ModulePlacement p{16, 0};
+    const ModulePlacement q{16, 6};
+    const ModulePlacement r{20, 0};
+    step(p, 5, 0);       // built; cache: p {12,6}
+    step(q, 6, 0);       // built; cache: q p
+    step(p, 6, 1);       // reused, now most recent; cache: p q
+    step(r, 7, 1);       // built, evicts q (FIFO would evict p); cache: r p
+    step(p, 7, 2);       // reused; cache: p r
+    step(q, 8, 2);       // rebuilt; cache: q p
+    step({0, 0}, 9, 2);  // evicted during construction: rebuilt
+    two.delta_swap(1, 2);  // both anchors held by the committed plan
+    two.commit();
+    EXPECT_EQ(two.stats().series_computed, 9);
+    EXPECT_EQ(two.stats().series_reused, 4);
+    expect_matches_full(two, s);
 }
 
 TEST(IncrementalEvaluator, MakeIncrementalObjectiveMatchesClosure) {

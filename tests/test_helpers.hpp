@@ -132,4 +132,23 @@ inline const core::PreparedScenario& coarse_toy_scenario() {
     return prepared;
 }
 
+/// The shaded setup's 24x10 window (eastern ridge only) at 85 N over a
+/// year of hourly steps: a long polar night, so whole evaluation shards
+/// carry no daylight step.
+inline solar::IrradianceField polar_night_field() {
+    const TimeGrid grid(60, 1, 365);
+    geo::Raster dsm(24, 10, 0.2, 5.0);
+    for (int y = 0; y < 10; ++y)
+        for (int x = 22; x < 24; ++x) dsm(x, y) = 9.0;  // eastern ridge
+    geo::HorizonOptions hopt;
+    hopt.azimuth_sectors = 16;
+    hopt.max_distance = 10.0;
+    solar::FieldConfig config;
+    config.location.latitude_deg = 85.0;
+    config.location.longitude_deg = 15.0;
+    return solar::IrradianceField(geo::HorizonMap(dsm, 0, 0, 24, 10, hopt),
+                                  constant_weather(grid), grid, deg2rad(26.0),
+                                  deg2rad(180.0), config);
+}
+
 }  // namespace pvfp::testing
